@@ -28,8 +28,13 @@ derived stream between execution phases.
    The batched trajectory engine consumes the per-circuit stream in a
    different (vectorised) order than the original serial loop, so trajectory
    averages for noisy circuits differ numerically from pre-batch releases —
-   same seeds, same statistics, different draws.  The purity guarantee above
-   is unchanged, and the current values are pinned by regression tests
+   same seeds, same statistics, different draws.  The stream changed a
+   second time when the trajectory sampler's rejection loop (redraw every
+   trajectory that drew no gate error; ``O(1/p)`` rounds at error rate
+   ``p``) became an exact inverse-CDF draw of the first error position
+   followed by independent later positions: same conditional law, a fixed
+   number of draws, different values.  The purity guarantee above is
+   unchanged, and the current values are pinned by regression tests
    (``tests/test_backends.py``).
 """
 

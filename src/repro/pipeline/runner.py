@@ -58,6 +58,12 @@ open / replay / planning / reassembly machinery as a
 loop and the asyncio :class:`~repro.service.coordinator.SweepCoordinator`
 drive the *same* task dispatch (``session.task_args`` →
 :func:`execute_task` → ``session.record``) rather than forking the engine.
+
+Pool workers run one BLAS thread each (:func:`process_pool`): a worker
+forked from a parent that loaded a multi-threaded OpenBLAS would otherwise
+start one BLAS thread per core, and N workers x cores busy-waiting threads
+on N cores made a 4-worker sweep several times *slower* than a serial one.
+The thread count changes no number a task produces.
 """
 
 from __future__ import annotations
@@ -883,7 +889,7 @@ class ParallelSweepRunner:
                     if self.progress is not None:
                         self.progress(done, total, outcome)
             elif session.pending:
-                with ProcessPoolExecutor(max_workers=session.workers) as pool:
+                with process_pool(session.workers) as pool:
                     futures = {
                         pool.submit(
                             execute_task,
@@ -933,6 +939,52 @@ def run_sweep(
 
 
 # ----------------------------------------------------------------------
+# Process pools
+# ----------------------------------------------------------------------
+# set_num_threads symbol of each OpenBLAS build numpy/scipy wheels ship:
+# reference, scipy-openblas (LP64) and scipy-openblas (ILP64).
+_OPENBLAS_SET_THREADS = (
+    "openblas_set_num_threads",
+    "scipy_openblas_set_num_threads",
+    "scipy_openblas_set_num_threads64_",
+)
+
+
+def _single_blas_thread() -> None:
+    """Pool-worker initializer: cap every loaded OpenBLAS at one thread.
+
+    Worker processes inherit the parent's already-loaded BLAS libraries,
+    so the usual ``OPENBLAS_NUM_THREADS`` environment variable (read once,
+    at library load) cannot reach them.  Instead each OpenBLAS mapped into
+    the worker — numpy and scipy wheels bundle separate copies — is found
+    through ``/proc/self/maps`` and told to use one thread.  Elsewhere
+    (no ``/proc``) this is a no-op.
+    """
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split()[-1] for line in fh if "openblas" in line}
+    except OSError:
+        return
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _OPENBLAS_SET_THREADS:
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter(1)
+                break
+
+
+def process_pool(workers: int) -> ProcessPoolExecutor:
+    """A process pool of ``workers`` single-BLAS-thread workers."""
+    return ProcessPoolExecutor(max_workers=workers, initializer=_single_blas_thread)
+
+
+# ----------------------------------------------------------------------
 # Generic ordered parallel map (week-structured drivers)
 # ----------------------------------------------------------------------
 def map_tasks(
@@ -952,5 +1004,5 @@ def map_tasks(
     if workers is None or workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
     n = max(1, min(int(workers), len(items)))
-    with ProcessPoolExecutor(max_workers=n) as pool:
+    with process_pool(n) as pool:
         return list(pool.map(fn, items))

@@ -54,7 +54,7 @@ import json
 import threading
 import time
 from collections import deque
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
 from typing import AsyncIterator, Deque, Dict, List, Optional, Set, Tuple
 
 from repro import obs
@@ -65,6 +65,7 @@ from repro.pipeline.runner import (
     StoreLike,
     SweepResult,
     execute_task,
+    process_pool,
     task_payload,
 )
 from repro.pipeline.spec import SweepSpec
@@ -1091,7 +1092,7 @@ class SweepCoordinator:
         if self._executor is None:
             width = max(1, self.workers)  # only reached when pullers exist
             if self.use_processes:
-                self._executor = ProcessPoolExecutor(max_workers=width)
+                self._executor = process_pool(width)
             else:
                 self._executor = ThreadPoolExecutor(
                     max_workers=width,

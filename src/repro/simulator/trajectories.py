@@ -25,18 +25,22 @@ inserted Paulis, so the whole trajectory set is evolved as **one batch**: a
 :class:`~repro.simulator.batched.BatchedStatevectorSimulator` applies every
 circuit gate once across all trajectories, and the per-trajectory Pauli
 insertions land on individual batch rows as axis flips / sign masks (see
-that module's docs).  Event sampling is likewise vectorised — one uniform
-``(B, n_instructions)`` draw, with rejection resampling of the rows that
-drew no event — so no Python-level per-trajectory loop survives on the hot
-path.  The batch is chunked so the amplitude tensor stays under
+that module's docs).  Event sampling is likewise vectorised and exact: each
+trajectory's *first* event position is drawn by inverse CDF over the
+cumulative no-event probability, and the later positions are independent
+Bernoulli draws — the law of "every gate errs independently, conditioned on
+at least one error" with a fixed number of draws whatever the error rate
+(a rejection loop would cost ``O(1/p)`` rounds and never finish as
+``p -> 0``).  No Python-level per-trajectory loop survives on the hot path.
+The batch is chunked so the amplitude tensor stays under
 ``memory_budget_bytes`` (default 256 MB).
 
 Determinism: every draw comes from the caller-supplied generator in a fixed
 order, so the trajectory average remains a pure function of ``(rng seed,
-circuit, shots)`` exactly as before.  The *values* differ from the pre-batch
-serial implementation (which interleaved uniform and Pauli draws per
-trajectory); :meth:`TrajectorySimulator.serial_output_distribution` keeps
-that historical stream as a reference, and the batched/serial engines are
+circuit, shots)``.  The *values* differ from the pre-batch serial
+implementation (which interleaved event and Pauli draws per trajectory);
+:meth:`TrajectorySimulator.serial_output_distribution` keeps that
+per-trajectory order as a reference, and the batched/serial engines are
 pinned equivalent *given the same events* in the test suite.
 """
 
@@ -102,6 +106,11 @@ class _CircuitTables:
     """Per-circuit arrays the sampler needs, computed once per fingerprint."""
 
     error_probs: np.ndarray  # per-instruction error probability
+    # P(first event at or before position j), i.e. 1 - prod_{i<=j}(1 - p_i),
+    # computed in log space so rates of 1e-12 keep full precision.
+    first_event_cdf: np.ndarray
+    error_probability: float  # P(>= 1 event) = first_event_cdf[-1]
+    last_error_position: int  # last position with a positive rate (-1: none)
     is_two_qubit: np.ndarray  # bool per instruction
     qubit0: np.ndarray  # first qubit per instruction
     qubit1: np.ndarray  # second qubit per instruction (-1 for 1q gates)
@@ -181,9 +190,20 @@ class TrajectorySimulator:
                 is2q[i] = True
                 qubit1[i] = inst.qubits[1]
         probs = np.where(is2q, self.error_2q, self.error_1q)
-        for arr in (probs, is2q, qubit0, qubit1):
+        with np.errstate(divide="ignore"):  # a rate of 1 logs to -inf: fine
+            cdf = -np.expm1(np.cumsum(np.log1p(-probs)))
+        positive = np.flatnonzero(probs > 0.0)
+        for arr in (probs, cdf, is2q, qubit0, qubit1):
             arr.setflags(write=False)
-        tables = _CircuitTables(probs, is2q, qubit0, qubit1)
+        tables = _CircuitTables(
+            error_probs=probs,
+            first_event_cdf=cdf,
+            error_probability=float(cdf[-1]) if n else 0.0,
+            last_error_position=int(positive[-1]) if positive.size else -1,
+            is_two_qubit=is2q,
+            qubit0=qubit0,
+            qubit1=qubit1,
+        )
         self._tables_cache[key] = tables
         return tables
 
@@ -192,36 +212,58 @@ class TrajectorySimulator:
         return self._circuit_tables(circuit).error_probs
 
     def error_free_probability(self, circuit: Circuit) -> float:
-        """Probability that a shot of ``circuit`` suffers no gate error."""
-        probs = self._gate_error_probs(circuit)
-        return float(np.prod(1.0 - probs)) if probs.size else 1.0
+        """Probability that a shot of ``circuit`` suffers no gate error.
+
+        ``1 -`` the cached normaliser of the event sampler, so the binomial
+        error-shot weight and the sampler's conditioning are one number.
+        """
+        return 1.0 - self._circuit_tables(circuit).error_probability
 
     # ------------------------------------------------------------------
     # Vectorised event sampling
     # ------------------------------------------------------------------
+    @staticmethod
+    def _sample_hits(
+        tables: _CircuitTables, n_traj: int, rng: np.random.Generator
+    ) -> np.ndarray:
+        """Error positions of ``n_traj`` trajectories, each with >= 1 event.
+
+        Exact sampler for independent per-gate events conditioned on at
+        least one: the first event position ``J`` is drawn by inverse CDF,
+        ``P(J = j | >= 1) = p_j prod_{i<j}(1 - p_i) / Z``, and the positions
+        after ``J`` are i.i.d. Bernoulli(``p_i``).  Two vectorised draws
+        (``n_traj`` uniforms, then ``(n_traj, n_instructions)``), whatever
+        the rates.  Returns a boolean ``(n_traj, n_instructions)`` matrix.
+        """
+        z = tables.error_probability
+        if z <= 0.0:
+            raise ValueError("cannot condition on >=1 event: all error rates are 0")
+        probs = tables.error_probs
+        first = np.searchsorted(
+            tables.first_event_cdf, rng.random(n_traj) * z, side="right"
+        )
+        # For a subnormal Z, u*Z can round up to Z, which no CDF entry
+        # exceeds; land on the last position that can err, not the last one.
+        np.minimum(first, tables.last_error_position, out=first)
+        later = np.arange(probs.size) > first[:, None]
+        hits = (rng.random((n_traj, probs.size)) < probs) & later
+        hits[np.arange(n_traj), first] = True
+        return hits
+
     def _sample_event_batch(
         self, circuit: Circuit, n_traj: int, rng: np.random.Generator
     ) -> _EventBatch:
         """Sample events for ``n_traj`` trajectories, each with >= 1 event.
 
-        One ``(n_traj, n_instructions)`` uniform draw decides the error
-        positions of every trajectory at once; rows that drew no event are
-        rejection-resampled (same conditioning as the serial engine).  Pauli
-        choices are then drawn in two vectorised calls: one for all
-        one-qubit hits (uniform over X/Y/Z) and one for all two-qubit hits
-        (uniform over the 15 non-identity two-qubit Paulis), in stable
-        (trajectory, position) order.
+        Error positions come from :meth:`_sample_hits` (inverse-CDF first
+        event plus independent later events).  Pauli choices are then drawn
+        in two vectorised calls: one for all one-qubit hits (uniform over
+        X/Y/Z) and one for all two-qubit hits (uniform over the 15
+        non-identity two-qubit Paulis), in stable (trajectory, position)
+        order.
         """
         tables = self._circuit_tables(circuit)
-        probs = tables.error_probs
-        if probs.size == 0 or float(probs.max()) <= 0.0:
-            raise ValueError("cannot condition on >=1 event: all error rates are 0")
-        hits = rng.random((n_traj, probs.size)) < probs
-        pending = np.flatnonzero(~hits.any(axis=1))
-        while pending.size:
-            redraw = rng.random((pending.size, probs.size)) < probs
-            hits[pending] = redraw
-            pending = pending[~redraw.any(axis=1)]
+        hits = self._sample_hits(tables, n_traj, rng)
         rows, positions = np.nonzero(hits)
         hit_is2q = tables.is_two_qubit[positions]
 
@@ -352,15 +394,13 @@ class TrajectorySimulator:
     ) -> List[_ErrorEvent]:
         """Sample error events for one trajectory, conditioned on >= 1 event.
 
-        Serial reference path: this is the historical per-trajectory stream
-        (uniform matrix then Pauli draws, interleaved per trajectory), used
-        by :meth:`serial_output_distribution` and the equivalence tests.
+        Serial reference path: positions from :meth:`_sample_hits` for one
+        trajectory, then that trajectory's Pauli draws (interleaved per
+        trajectory), used by :meth:`serial_output_distribution` and the
+        equivalence tests.
         """
-        probs = self._gate_error_probs(circuit)
-        while True:
-            hits = np.flatnonzero(rng.random(probs.size) < probs)
-            if hits.size:
-                break
+        tables = self._circuit_tables(circuit)
+        hits = np.flatnonzero(self._sample_hits(tables, 1, rng)[0])
         events: List[_ErrorEvent] = []
         for pos in hits:
             inst = circuit.instructions[pos]
@@ -404,7 +444,7 @@ class TrajectorySimulator:
         """Pre-batch reference implementation of :meth:`output_distribution`.
 
         One dense-engine circuit evaluation per trajectory, with the
-        historical interleaved sampling stream.  Kept so the benchmark suite
+        interleaved per-trajectory sampling stream.  Kept so the benchmark suite
         can measure the batched speedup against the real former hot path and
         so equivalence tests have an independent oracle; not used by any
         production caller.
@@ -413,10 +453,8 @@ class TrajectorySimulator:
         sim = StatevectorSimulator(circuit.num_qubits)
         sim.run(circuit)
         ideal = sim.probabilities(circuit.measured_qubits)
-        p_clean = self.error_free_probability(circuit)
-        if p_clean >= 1.0 or shots == 0:
-            return ideal
-        num_err_shots = int(gen.binomial(shots, 1.0 - p_clean)) if shots else 0
+        p_err = self._circuit_tables(circuit).error_probability
+        num_err_shots = int(gen.binomial(shots, p_err))
         if num_err_shots == 0:
             return ideal
         n_traj = min(num_err_shots, self.max_trajectories)
@@ -452,10 +490,8 @@ class TrajectorySimulator:
         for op in self._prepared_ops(circuit):
             sim.apply_prepared(op)
         ideal = sim.probabilities(circuit.measured_qubits)
-        p_clean = self.error_free_probability(circuit)
-        if p_clean >= 1.0 or shots == 0:
-            return ideal
-        num_err_shots = int(gen.binomial(shots, 1.0 - p_clean)) if shots else 0
+        p_err = self._circuit_tables(circuit).error_probability
+        num_err_shots = int(gen.binomial(shots, p_err))
         if num_err_shots == 0:
             return ideal
         n_traj = min(num_err_shots, self.max_trajectories)

@@ -49,6 +49,7 @@ from repro.store import (
     FaultyBackend,
     LocalDirBackend,
     MemoryBackend,
+    NonFiniteValueError,
     ObjectStoreBackend,
     SweepJournal,
     TransientStoreError,
@@ -521,7 +522,8 @@ class TestTransientSoak:
 # ----------------------------------------------------------------------
 _scalars = st.one_of(
     st.integers(min_value=-(2 ** 53), max_value=2 ** 53),
-    st.floats(allow_nan=False, width=64),
+    # Non-finite floats are refused by design (test_infinite_payload_refused).
+    st.floats(allow_nan=False, allow_infinity=False, width=64),
     st.booleans(),
     st.text(max_size=12),
     st.none(),
@@ -569,6 +571,14 @@ class TestArtifactRoundTrips:
         op(store.put, key, payload)
         restored = op(store.get, key)
         assert deep_equal(restored, payload)
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf")])
+    def test_infinite_payload_refused(self, backend, value):
+        store = ArtifactStore(backend)
+        key = {"kind": "conformance", "salt": next(_unique_salt)}
+        with pytest.raises(NonFiniteValueError):
+            op(store.put, key, {"metrics": {"error": value}})
+        assert op(lambda: list(store.entries())) == []
 
     def test_calibration_shaped_payload(self, backend):
         store = ArtifactStore(backend)

@@ -178,6 +178,45 @@ def _square(x):
     return x * x
 
 
+_OPENBLAS_GET_THREADS = (
+    "openblas_get_num_threads",
+    "scipy_openblas_get_num_threads",
+    "scipy_openblas_get_num_threads64_",
+)
+
+
+def _openblas_threads(_):
+    """Thread count of every OpenBLAS mapped into the calling process."""
+    import ctypes
+
+    with open("/proc/self/maps") as fh:
+        paths = {line.split()[-1] for line in fh if "openblas" in line}
+    counts = []
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)
+        for name in _OPENBLAS_GET_THREADS:
+            getter = getattr(lib, name, None)
+            if getter is not None:
+                counts.append(getter())
+                break
+    return counts
+
+
+class TestPoolBlasThreads:
+    """Pool workers must not inherit the parent's multi-threaded BLAS:
+    N workers x cores spinning BLAS threads oversubscribe the machine."""
+
+    def test_workers_run_one_blas_thread(self):
+        try:
+            parent = _openblas_threads(None)
+        except OSError:
+            pytest.skip("no /proc/self/maps on this platform")
+        if not parent:
+            pytest.skip("numpy/scipy are not linked against OpenBLAS here")
+        for counts in map_tasks(_openblas_threads, [0, 1], workers=2):
+            assert counts and counts == [1] * len(counts)
+
+
 class TestCalibrationCache:
     def test_cache_hits_do_not_change_errors(self):
         spec = small_spec()

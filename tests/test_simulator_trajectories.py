@@ -1,9 +1,14 @@
 """Tests for the Pauli-trajectory gate-noise simulator."""
 
+import time
+
 import numpy as np
 import pytest
+from scipy import stats
 
+from repro.backends import SimulatedBackend
 from repro.circuits import Circuit, ghz_bfs
+from repro.noise import NoiseModel
 from repro.simulator import (
     StatevectorSimulator,
     TrajectorySimulator,
@@ -204,3 +209,251 @@ class TestBatchedSerialEquivalence:
             sim._sample_event_batch(
                 Circuit(1).h(0), 4, np.random.default_rng(0)
             )
+        with pytest.raises(ValueError):
+            sim._sample_events(Circuit(1).h(0), np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            TrajectorySimulator(error_1q=0.5)._sample_event_batch(
+                Circuit(1), 4, np.random.default_rng(0)
+            )
+
+
+# ----------------------------------------------------------------------
+# Exact conditional event sampler
+# ----------------------------------------------------------------------
+# Every statistical test below uses a fixed seed (so it is deterministic)
+# and rejects at significance ALPHA: a correct sampler would fail one of
+# them by chance with probability ~ALPHA on a fresh seed.
+ALPHA = 1e-3
+
+
+def rejection_hits(probs, n_traj, rng):
+    """The retired production sampler, kept as the reference law.
+
+    Draw every position i.i.d. Bernoulli(p_i) and redraw the rows that drew
+    no event until each has one: exactly "independent events conditioned
+    on >= 1", at ``O(1/P(>= 1))`` rounds.
+    """
+    hits = rng.random((n_traj, probs.size)) < probs
+    pending = np.flatnonzero(~hits.any(axis=1))
+    while pending.size:
+        redraw = rng.random((pending.size, probs.size)) < probs
+        hits[pending] = redraw
+        pending = pending[~redraw.any(axis=1)]
+    return hits
+
+
+def _pattern_codes(hits):
+    """Encode each hit row as an integer (bit j = position j erred)."""
+    return hits.astype(np.int64) @ (1 << np.arange(hits.shape[1]))
+
+
+def _pattern_law(probs):
+    """Analytic P(pattern | >= 1 event) for every non-empty pattern."""
+    n = probs.size
+    codes = np.arange(1, 1 << n)
+    bits = (codes[:, None] >> np.arange(n)) & 1
+    joint = np.prod(np.where(bits, probs, 1.0 - probs), axis=1)
+    return codes, joint / (1.0 - np.prod(1.0 - probs))
+
+
+def _first_event_law(probs):
+    """Analytic P(first event at j | >= 1 event)."""
+    survive = np.concatenate([[1.0], np.cumprod(1.0 - probs)[:-1]])
+    law = probs * survive
+    return law / law.sum()
+
+
+class _CountingRng:
+    """Generator proxy counting uniform draws (the sampler's only loop cost)."""
+
+    def __init__(self, seed):
+        self._gen = np.random.default_rng(seed)
+        self.random_calls = 0
+
+    def random(self, *args, **kwargs):
+        self.random_calls += 1
+        return self._gen.random(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._gen, name)
+
+
+class _StuckRng:
+    """Every uniform is the largest double below 1."""
+
+    U = np.nextafter(1.0, 0.0)
+
+    def random(self, size=None):
+        return np.full(size, self.U)
+
+
+# 1q rate 0.05, 2q rate 0.2, with a zero-rate-free mix of positions.
+MIXED = Circuit(3).h(0).cx(0, 1).t(1).cx(1, 2).rx(0.4, 0).measure_all()
+MIXED_RATES = dict(error_1q=0.05, error_2q=0.2)
+
+
+class TestExactEventSampler:
+    """The inverse-CDF sampler has the rejection sampler's law."""
+
+    N = 40000
+
+    def _hits(self, circuit, n, seed, **rates):
+        sim = TrajectorySimulator(**rates)
+        tables = sim._circuit_tables(circuit)
+        return tables, sim._sample_hits(tables, n, np.random.default_rng(seed))
+
+    def test_every_trajectory_has_an_event(self):
+        _, hits = self._hits(MIXED, 2000, 0, **MIXED_RATES)
+        assert hits.any(axis=1).all()
+
+    def test_first_event_position_chi_square(self):
+        tables, hits = self._hits(MIXED, self.N, 1, **MIXED_RATES)
+        observed = np.bincount(hits.argmax(axis=1), minlength=hits.shape[1])
+        expected = self.N * _first_event_law(tables.error_probs)
+        assert stats.chisquare(observed, expected).pvalue > ALPHA
+
+    def test_per_position_hit_rates(self):
+        """P(position i erred | >= 1) = p_i / Z; one 1-dof chi-square per
+        position, Bonferroni-corrected."""
+        tables, hits = self._hits(MIXED, self.N, 2, **MIXED_RATES)
+        rate = tables.error_probs / tables.error_probability
+        observed = hits.sum(axis=0)
+        expected = self.N * rate
+        stat = (observed - expected) ** 2 / (expected * (1.0 - rate))
+        pvalues = stats.chi2.sf(stat, df=1)
+        assert pvalues.min() > ALPHA / rate.size
+
+    def test_joint_pattern_law_chi_square(self):
+        """The full joint law over all 2^n - 1 non-empty hit patterns."""
+        qc = Circuit(2).h(0).cx(0, 1).h(1).measure_all()
+        tables, hits = self._hits(qc, self.N, 3, error_1q=0.1, error_2q=0.3)
+        codes, law = _pattern_law(tables.error_probs)
+        observed = np.bincount(_pattern_codes(hits), minlength=law.size + 1)
+        assert observed[0] == 0
+        assert stats.chisquare(observed[codes], self.N * law).pvalue > ALPHA
+
+    def test_agrees_with_rejection_oracle(self):
+        """Two-sample chi-square on the joint pattern histograms."""
+        qc = Circuit(2).h(0).cx(0, 1).h(1).measure_all()
+        tables, hits = self._hits(qc, self.N, 4, error_1q=0.1, error_2q=0.3)
+        oracle = rejection_hits(
+            tables.error_probs, self.N, np.random.default_rng(5)
+        )
+        size = 1 << tables.error_probs.size
+        table = np.stack(
+            [
+                np.bincount(_pattern_codes(hits), minlength=size)[1:],
+                np.bincount(_pattern_codes(oracle), minlength=size)[1:],
+            ]
+        )
+        assert stats.chi2_contingency(table).pvalue > ALPHA
+
+    def test_oracle_matches_analytic_law(self):
+        """Sanity for the oracle itself, so agreement above means the law."""
+        qc = Circuit(2).h(0).cx(0, 1).h(1).measure_all()
+        probs = TrajectorySimulator(error_1q=0.1, error_2q=0.3)._gate_error_probs(qc)
+        oracle = rejection_hits(probs, self.N, np.random.default_rng(6))
+        codes, law = _pattern_law(probs)
+        observed = np.bincount(_pattern_codes(oracle), minlength=law.size + 1)
+        assert stats.chisquare(observed[codes], self.N * law).pvalue > ALPHA
+
+    def test_serial_sampler_has_the_same_law(self):
+        """The serial engine's per-trajectory draws follow the joint law."""
+        qc = Circuit(2).h(0).cx(0, 1).h(1).measure_all()
+        sim = TrajectorySimulator(error_1q=0.1, error_2q=0.3)
+        rng = np.random.default_rng(7)
+        n = 8000
+        hits = np.zeros((n, len(qc.instructions)), dtype=bool)
+        for row in range(n):
+            for ev in sim._sample_events(qc, rng):
+                hits[row, ev.position] = True
+        codes, law = _pattern_law(sim._gate_error_probs(qc))
+        observed = np.bincount(_pattern_codes(hits), minlength=law.size + 1)
+        assert observed[0] == 0
+        assert stats.chisquare(observed[codes], n * law).pvalue > ALPHA
+
+    def test_zero_rate_positions_never_hit(self):
+        sim = TrajectorySimulator(error_1q=0.0, error_2q=0.3)
+        qc = Circuit(2).h(0).cx(0, 1).h(0).h(1).measure_all()  # rates 0,.3,0,0
+        hits = sim._sample_hits(
+            sim._circuit_tables(qc), 5000, np.random.default_rng(8)
+        )
+        assert hits[:, 1].all()
+        assert not hits[:, [0, 2, 3]].any()
+
+    def test_rounded_up_draw_clamps_to_last_positive_rate(self):
+        """u * Z rounding to Z matches no CDF entry; the draw must land on
+        the last position that can err, never on a trailing zero-rate gate.
+
+        For a normal Z the largest uniform keeps u * Z < Z; a subnormal Z
+        (rates ~1e-320) has too coarse a spacing, so the product rounds up.
+        """
+        sim = TrajectorySimulator(error_1q=0.0, error_2q=1e-320)
+        qc = Circuit(2).h(0).cx(0, 1).h(0).h(1).measure_all()
+        tables = sim._circuit_tables(qc)
+        assert _StuckRng.U * tables.error_probability == tables.error_probability
+        hits = sim._sample_hits(tables, 3, _StuckRng())
+        np.testing.assert_array_equal(hits, [[False, True, False, False]] * 3)
+
+    def test_tables_share_one_normaliser(self):
+        sim = TrajectorySimulator(**MIXED_RATES)
+        tables = sim._circuit_tables(MIXED)
+        assert tables.error_probability == tables.first_event_cdf[-1]
+        assert sim.error_free_probability(MIXED) == 1.0 - tables.error_probability
+        assert tables.error_probability == pytest.approx(
+            1.0 - np.prod(1.0 - tables.error_probs), rel=1e-14
+        )
+
+
+# Cost bound for the tiny-rate tests: the rejection loop took ~2 s at 1e-5
+# on this workload and never finished at 1e-9; the exact sampler is ms.
+TINY_RATE_SECONDS = 5.0
+
+
+@pytest.mark.parametrize("rate", [1e-5, 1e-9, 1e-12])
+class TestTinyRates:
+    """Tiny error rates cost the same as large ones (no O(1/p) loop)."""
+
+    def test_sampler_cost_independent_of_rate(self, rate):
+        sim = TrajectorySimulator(error_1q=rate)
+        qc = Circuit(1).h(0).x(0).measure_all()
+        rng = _CountingRng(0)
+        t0 = time.perf_counter()
+        batch = sim._sample_event_batch(qc, 128, rng)
+        assert time.perf_counter() - t0 < TINY_RATE_SECONDS
+        assert rng.random_calls == 2
+        assert np.unique(batch.row).size == 128
+
+    def test_cdf_keeps_precision(self, rate):
+        sim = TrajectorySimulator(error_1q=rate)
+        tables = sim._circuit_tables(Circuit(1).h(0).x(0).measure_all())
+        np.testing.assert_allclose(
+            tables.first_event_cdf, [rate, 2 * rate - rate * rate], rtol=1e-12
+        )
+
+    def test_output_distribution(self, rate):
+        sim = TrajectorySimulator(error_1q=rate)
+        qc = ghz_bfs(linear(3))
+        # Enough shots that ~64 of them err, so the sampler really runs.
+        shots = int(64 / sim._circuit_tables(qc).error_probability)
+        calls = []
+        sample = sim._sample_event_batch
+        sim._sample_event_batch = lambda *a: calls.append(a[1]) or sample(*a)
+        t0 = time.perf_counter()
+        dist = sim.output_distribution(qc, shots, rng=11)
+        assert time.perf_counter() - t0 < TINY_RATE_SECONDS
+        assert calls and calls[0] > 0
+        assert np.isfinite(dist).all() and dist.min() >= 0.0
+        assert dist.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_backend_run(self, rate):
+        model = NoiseModel(3, error_1q=rate, error_2q=rate)
+        backend = SimulatedBackend(linear(3), model, rng=12)
+        qc = ghz_bfs(linear(3))
+        t0 = time.perf_counter()
+        counts = backend.run(qc, 4000)
+        dist = backend.exact_distribution(qc)
+        assert time.perf_counter() - t0 < TINY_RATE_SECONDS
+        assert counts.shots == 4000
+        assert np.isfinite(dist).all() and dist.min() >= 0.0
+        assert dist.sum() == pytest.approx(1.0, abs=1e-12)
