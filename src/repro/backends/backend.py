@@ -8,6 +8,16 @@ gate noise when the model has any), applies the measurement-error channel to
 the output distribution, and multinomially samples shots — exactly the
 paper's §V-A pipeline.
 
+Calibration circuits: an X-only circuit prepares a computational basis
+state (:meth:`Circuit.basis_state`), so without gate noise its pre-channel
+distribution is built directly as a one-hot vector — bitwise what the
+statevector would give — and never touches the simulator.  With gate noise
+its X gates can err, so it keeps the trajectory path.  Distributions then go
+through the measurement channel as stacks of same-register rows, chunked
+under :data:`CHANNEL_STACK_BYTES` so a large suite (Full's ``2^n`` basis
+states) stays bounded in memory; rows are independent, so the chunk size
+never changes a value.
+
 Output-distribution caching: experiments repeatedly execute the *same*
 circuit object (mitigation methods re-run the target circuit under different
 budgets), so the noisy pre-sampling distribution is cached per circuit
@@ -56,7 +66,11 @@ from repro.topology.coupling_map import CouplingMap
 from repro.utils.rng import RandomState, ensure_rng, stable_rng
 from repro.utils.validation import check_shots
 
-__all__ = ["SimulatedBackend"]
+__all__ = ["SimulatedBackend", "CHANNEL_STACK_BYTES"]
+
+#: Ceiling on one ``(B, 2^k)`` stack pushed through the measurement channel
+#: (4 MiB: 512 rows of a 10-qubit register, 8 rows of a 16-qubit one).
+CHANNEL_STACK_BYTES = 4 << 20
 
 
 class SimulatedBackend:
@@ -139,6 +153,13 @@ class SimulatedBackend:
             return self._trajectory_sim.output_distribution(
                 circuit, shots=1 << 14, rng=traj_rng
             )
+        prepared = circuit.basis_state()
+        if prepared is not None:
+            measured = circuit.measured_qubits
+            index = sum(((prepared >> q) & 1) << k for k, q in enumerate(measured))
+            one_hot = np.zeros(1 << len(measured))
+            one_hot[index] = 1.0
+            return one_hot
         sim = StatevectorSimulator(circuit.num_qubits)
         sim.run(circuit)
         return sim.probabilities(circuit.measured_qubits)
@@ -148,13 +169,17 @@ class SimulatedBackend:
     ) -> List[np.ndarray]:
         """Pre-sampling outcome distributions, one per circuit.
 
-        Cache-aware batch route: uncached circuits get their gate-noise
-        distribution from the (batched) trajectory engine, then all circuits
-        sharing a measured-qubit signature are stacked and pushed through
-        the measurement-error channel in a single ``(B, 2^k)`` pass (see
+        Cache-aware batch route: uncached circuits sharing a measured-qubit
+        signature are stacked and pushed through the measurement-error
+        channel in ``(B, 2^k)`` passes (see
         :meth:`MeasurementErrorChannel.apply_marginal`) instead of one
         channel application per circuit — the win for calibration suites,
-        which submit dozens of same-register circuits per batch.
+        which submit dozens (Full: ``2^n``) of same-register circuits per
+        batch.  Each stack holds at most :data:`CHANNEL_STACK_BYTES`, so a
+        large suite costs several passes rather than one giant
+        ``2^n x 2^n`` block; the channel treats rows independently, so the
+        chunking never changes a value.  Pre-channel distributions are
+        computed chunk by chunk for the same reason.
         """
         out: List[Optional[np.ndarray]] = [None] * len(circuits)
         todo: Dict[tuple, List[int]] = {}
@@ -165,17 +190,23 @@ class SimulatedBackend:
                 out[i] = cached
             else:
                 todo.setdefault(key, []).append(i)
-        groups: Dict[Tuple[int, ...], List[Tuple[tuple, np.ndarray]]] = {}
+        groups: Dict[Tuple[int, ...], List[tuple]] = {}
         for key, indices in todo.items():
-            circuit = circuits[indices[0]]
-            pre = self._pre_channel_distribution(circuit, key)
-            groups.setdefault(circuit.measured_qubits, []).append((key, pre))
+            groups.setdefault(circuits[indices[0]].measured_qubits, []).append(key)
         channel = self.noise_model.measurement_channel
-        for measured, entries in groups.items():
-            stack = np.stack([pre for _, pre in entries])
-            noisy_stack = channel.apply_marginal(stack, measured)
-            for (key, _), noisy in zip(entries, noisy_stack):
-                self._dist_cache[key] = noisy.copy()
+        for measured, keys in groups.items():
+            rows = max(1, CHANNEL_STACK_BYTES // (8 << len(measured)))
+            for start in range(0, len(keys), rows):
+                chunk = keys[start : start + rows]
+                stack = np.stack(
+                    [
+                        self._pre_channel_distribution(circuits[todo[key][0]], key)
+                        for key in chunk
+                    ]
+                )
+                noisy_stack = channel.apply_marginal(stack, measured)
+                for key, noisy in zip(chunk, noisy_stack):
+                    self._dist_cache[key] = noisy
         for key, indices in todo.items():
             for i in indices:
                 out[i] = self._dist_cache[key]

@@ -220,6 +220,21 @@ class Circuit:
             self.measured_qubits,
         )
 
+    def basis_state(self) -> Optional[int]:
+        """The computational basis state an X-only circuit prepares.
+
+        Returns the full-register index (bit ``q`` = qubit ``q``) — the XOR
+        of every X target — when every instruction is an ``x`` gate, and
+        ``None`` otherwise.  Calibration circuits are exactly this shape,
+        which lets backends skip the statevector for them.
+        """
+        state = 0
+        for inst in self._instructions:
+            if inst.gate.name != "x":
+                return None
+            state ^= 1 << inst.qubits[0]
+        return state
+
     def depth(self) -> int:
         """Circuit depth: longest chain of instructions sharing qubits."""
         level = [0] * self._num_qubits

@@ -93,9 +93,31 @@ def assign_order_parameters(
 def _endpoint_power(
     marginal: np.ndarray, exponent: float
 ) -> np.ndarray:
-    """``marginal ** exponent`` (identity shortcut for exponent 0)."""
+    """``marginal ** exponent`` (identity shortcut for exponent 0).
+
+    Every marginal CMC joins is a single-qubit 2x2 column-stochastic
+    ``C = [[1-a, b], [a, 1-b]]``, whose eigenvalues are 1 and
+    ``lam = 1 - a - b``.  For ``lam > 0`` the power has the closed form
+    ``C^t = P + lam^t (I - P)``, with ``P`` the stationary projector (every
+    column ``(b, a) / (a + b)``); ``1 - lam^t`` is taken through
+    ``expm1``/``log1p`` so error rates down to 1e-12 keep full precision.
+    ``a + b = 0`` is the identity.  Any other case (``lam <= 0``, negative
+    entries, exponent 1, larger matrices) goes to
+    :func:`fractional_stochastic_power`, which stays the oracle and owns
+    the refusal of non-embeddable marginals.
+    """
     if exponent == 0.0:
         return np.eye(marginal.shape[0])
+    if marginal.shape == (2, 2) and exponent != 1.0:
+        a, b = float(marginal[1, 0]), float(marginal[0, 1])
+        rate = a + b
+        if a >= 0.0 and b >= 0.0 and rate < 1.0:
+            if rate == 0.0:
+                return np.eye(2)
+            decayed = -np.expm1(exponent * np.log1p(-rate)) / rate
+            return np.array(
+                [[1.0 - a * decayed, b * decayed], [a * decayed, 1.0 - b * decayed]]
+            )
     return fractional_stochastic_power(marginal, exponent)
 
 

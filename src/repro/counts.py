@@ -14,6 +14,7 @@ averaging, as SIM/AIM produce).
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -206,9 +207,13 @@ class Counts(Mapping[int, float]):
         """Size of the full register the measured qubits live on."""
         return self._num_qubits
 
-    @property
+    @cached_property
     def shots(self) -> float:
-        """Total weight (exact shot count for raw histograms)."""
+        """Total weight (exact shot count for raw histograms).
+
+        Summed once: a ``Counts`` never changes after construction, and
+        the mitigators read this inside per-outcome loops.
+        """
         return float(sum(self._data.values()))
 
     def by_bitstring(self) -> Dict[str, float]:

@@ -13,7 +13,7 @@ count collapses as ``2^-n`` (the sampling tail of Fig. 12), and beyond
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from repro.circuits.library import calibration_circuit
 from repro.core.base import DEFAULT_CALIBRATION_FRACTION, Mitigator
 from repro.core.calibration import CalibrationMatrix
 from repro.counts import Counts
-from repro.utils.bitstrings import extract_bits
 from repro.utils.linalg import clip_renormalize
 
 __all__ = ["FullCalibrationMitigator", "NotScalableError"]
@@ -75,14 +74,18 @@ class FullCalibrationMitigator(Mitigator):
         shots_per_circuit = budget.split_evenly(
             num_circuits, fraction=calibration_fraction
         )
-        qubits = tuple(range(n))
-        counts_by_prepared: Dict[int, Counts] = {}
-        for prepared in range(num_circuits):
-            qc = calibration_circuit(n, prepared)
-            counts_by_prepared[prepared] = backend.run(
-                qc, shots_per_circuit, budget=budget, tag="calibration"
-            )
-        self.calibration = CalibrationMatrix.from_counts(qubits, counts_by_prepared)
+        # One batch: the whole suite is charged (or refused) up front and
+        # every basis state goes through the readout channel in stacked
+        # passes; shots are drawn in circuit order, as a loop of runs would.
+        results = backend.run_batch(
+            [calibration_circuit(n, prepared) for prepared in range(num_circuits)],
+            shots_per_circuit,
+            budget=budget,
+            tag="calibration",
+        )
+        self.calibration = CalibrationMatrix.from_counts(
+            tuple(range(n)), dict(enumerate(results))
+        )
 
     def calibration_state(self) -> Optional[dict]:
         if self.calibration is None:

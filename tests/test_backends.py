@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.backends.backend as backend_module
 from repro.backends import (
     BudgetExceeded,
     DEVICE_PROFILES,
@@ -11,9 +14,16 @@ from repro.backends import (
     architecture_backend,
     device_profile_backend,
 )
-from repro.circuits import Circuit, ghz_bfs
+from repro.circuits import Circuit, calibration_circuit, ghz_bfs
 from repro.circuits.transpile import CouplingViolation
-from repro.noise import MeasurementErrorChannel, NoiseModel, ReadoutError
+from repro.noise import (
+    MeasurementErrorChannel,
+    NoiseModel,
+    ReadoutError,
+    correlated_pair_channel,
+)
+from repro.simulator.statevector import simulate_statevector
+from repro.simulator.trajectories import TrajectorySimulator
 from repro.topology import grid, ibm_quito, linear
 
 
@@ -255,6 +265,146 @@ class TestBatchedDeterminism:
         np.testing.assert_allclose(
             tight.exact_distribution(qc), roomy.exact_distribution(qc), atol=1e-12
         )
+
+
+@st.composite
+def x_only_circuits(draw):
+    """Random X-only circuit: repeated targets, any measured order."""
+    n = draw(st.integers(2, 6))
+    qc = Circuit(n)
+    for q in draw(st.lists(st.integers(0, n - 1), max_size=10)):
+        qc.x(q)
+    if draw(st.booleans()):
+        qc.measure_all()
+    else:
+        subset = draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
+        qc.measure(draw(st.permutations(subset)))
+    return qc
+
+
+def correlated_channel(n):
+    channel = MeasurementErrorChannel(n)
+    for q in range(n):
+        channel.add_readout(q, ReadoutError(0.01 + 0.01 * q, 0.05))
+    channel.add_local((0, 1), correlated_pair_channel(0.1))
+    return channel
+
+
+class TestBasisStateShortcut:
+    """X-only circuits skip the statevector when there is no gate noise."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(qc=x_only_circuits())
+    def test_one_hot_is_statevector_bitwise(self, qc):
+        backend = SimulatedBackend(linear(qc.num_qubits))
+        one_hot = backend._pre_channel_distribution(qc, qc.fingerprint())
+        expected = simulate_statevector(qc)
+        assert one_hot.dtype == expected.dtype
+        assert one_hot.tobytes() == expected.tobytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(qc=x_only_circuits())
+    def test_noisy_distribution_matches_statevector_route(self, qc):
+        channel = correlated_channel(qc.num_qubits)
+        backend = SimulatedBackend(
+            linear(qc.num_qubits), NoiseModel.measurement_only(channel)
+        )
+        expected = channel.apply_marginal(
+            simulate_statevector(qc)[None, :], qc.measured_qubits
+        )[0]
+        assert backend.exact_distribution(qc).tobytes() == expected.tobytes()
+
+    def test_statevector_not_run_for_basis_states(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("statevector simulated an X-only circuit")
+
+        monkeypatch.setattr(backend_module.StatevectorSimulator, "run", refuse)
+        backend = SimulatedBackend(linear(3))
+        dist = backend.exact_distribution(Circuit(3).x(0).x(2).measure_all())
+        assert dist.tolist() == [0, 0, 0, 0, 0, 1.0, 0, 0]
+
+    def test_basis_state_circuits_still_validated(self):
+        qc = Circuit(4).x(3).measure_all()
+        with pytest.raises(ValueError, match="device has 3"):
+            SimulatedBackend(linear(3)).run(qc, 10)
+        unchecked = SimulatedBackend(linear(3), validate_coupling=False)
+        with pytest.raises(ValueError, match="larger than device"):
+            unchecked.run(qc, 10)
+
+    def test_gate_noise_keeps_trajectories(self, monkeypatch):
+        calls = []
+        original = TrajectorySimulator.output_distribution
+
+        def spy(self, circuit, *args, **kwargs):
+            calls.append(circuit.fingerprint())
+            return original(self, circuit, *args, **kwargs)
+
+        monkeypatch.setattr(TrajectorySimulator, "output_distribution", spy)
+        model = NoiseModel(3, error_1q=0.2, error_2q=0.0)
+        backend = SimulatedBackend(linear(3), model, rng=5)
+        qc = Circuit(3).x(1).measure_all()
+        dist = backend.exact_distribution(qc)
+        assert calls == [qc.fingerprint()]
+        # the X gate's errors leak mass off the prepared state
+        assert dist[0b010] < 1.0
+
+
+class TestChannelStacking:
+    """Same-register stacks are chunked under CHANNEL_STACK_BYTES."""
+
+    def suite(self, n):
+        circuits = [calibration_circuit(n, p) for p in range(1 << n)]
+        circuits += [ghz_bfs(linear(n)), Circuit(n).h(0).h(2).measure([2, 0, 1])]
+        return circuits
+
+    def backend(self, n, seed=3):
+        model = NoiseModel.measurement_only(correlated_channel(n))
+        return SimulatedBackend(linear(n), model, rng=seed)
+
+    def test_rows_independent_of_chunk_size(self, monkeypatch):
+        n = 4
+        stacked = self.backend(n)._noisy_distributions(self.suite(n))
+        counts = self.backend(n).run_batch(self.suite(n), 300)
+        monkeypatch.setattr(backend_module, "CHANNEL_STACK_BYTES", 1)
+        single = self.backend(n)._noisy_distributions(self.suite(n))
+        for a, b in zip(stacked, single):
+            assert a.tobytes() == b.tobytes()
+        assert [dict(c) for c in self.backend(n).run_batch(self.suite(n), 300)] == [
+            dict(c) for c in counts
+        ]
+
+    @pytest.fixture
+    def stacks(self, monkeypatch):
+        """Shapes of every stack the measurement channel receives."""
+        shapes = []
+        original = MeasurementErrorChannel.apply_marginal
+
+        def spy(self, probabilities, measured_qubits):
+            shapes.append(np.shape(probabilities))
+            return original(self, probabilities, measured_qubits)
+
+        monkeypatch.setattr(MeasurementErrorChannel, "apply_marginal", spy)
+        return shapes
+
+    def test_no_stack_exceeds_ceiling(self, monkeypatch, stacks):
+        n = 4
+        ceiling = 5 * 8 * (1 << n)  # five full-register rows
+        monkeypatch.setattr(backend_module, "CHANNEL_STACK_BYTES", ceiling)
+        self.backend(n)._noisy_distributions(self.suite(n))
+        assert all(8 * rows * width <= ceiling for rows, width in stacks)
+        # 17 full-register rows -> 5 + 5 + 5 + 2; the 3-qubit subset alone
+        assert sorted(stacks) == [(1, 8), (2, 16), (5, 16), (5, 16), (5, 16)]
+
+    def test_default_ceiling_bounds_large_registers(self, stacks):
+        n = 12
+        channel = MeasurementErrorChannel.from_readout_errors(
+            [ReadoutError(0.02, 0.05)] * n
+        )
+        backend = SimulatedBackend(linear(n), NoiseModel.measurement_only(channel))
+        backend._noisy_distributions([calibration_circuit(n, p) for p in range(600)])
+        rows = backend_module.CHANNEL_STACK_BYTES // (8 << n)
+        assert rows == 128
+        assert [shape[0] for shape in stacks] == [128] * 4 + [88]
 
 
 class TestPresets:

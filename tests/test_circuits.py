@@ -219,6 +219,30 @@ class TestPreparationCircuits:
         with pytest.raises(ValueError):
             mask_circuit(2, 4)
 
+    @pytest.mark.parametrize("prepared", [0, 0b1, 0b1010, 0b1111])
+    def test_basis_state_of_preparations(self, prepared):
+        assert basis_state_preparation(4, prepared).basis_state() == prepared
+        assert calibration_circuit(4, prepared, measured=[3, 1]).basis_state() == (
+            prepared
+        )
+
+    def test_basis_state_xors_repeated_targets(self):
+        assert Circuit(3).x(0).x(2).x(0).basis_state() == 0b100
+        assert Circuit(3).basis_state() == 0
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda qc: qc.x(0).h(1),
+            lambda qc: qc.i(0),
+            lambda qc: qc.x(0).cx(0, 1),
+            lambda qc: qc.rx(math.pi, 0),
+        ],
+        ids=["h", "identity", "cx", "rx-pi"],
+    )
+    def test_basis_state_none_for_other_gates(self, build):
+        assert build(Circuit(3)).basis_state() is None
+
 
 class TestValidate:
     def test_violation_raises(self):

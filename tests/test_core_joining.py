@@ -3,12 +3,14 @@ property that makes CMC correct."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import repro.core.joining as joining
 from repro.core import CalibrationMatrix, JoinedCalibration, assign_order_parameters
+from repro.core.joining import _endpoint_power
 from repro.counts import SparseDistribution
 from repro.noise import correlated_pair_channel
-from repro.utils.linalg import column_normalize
+from repro.utils.linalg import column_normalize, fractional_stochastic_power
 
 
 def random_single(rng, qubit, strength=0.1):
@@ -93,6 +95,109 @@ class TestTelescoping:
         patch = tensored_patch(random_single(rng, 0), random_single(rng, 1))
         joined = JoinedCalibration([patch])
         np.testing.assert_allclose(joined.to_matrix(2), patch.matrix, atol=1e-10)
+
+
+def two_state(a, b):
+    """Column-stochastic ``[[1-a, b], [a, 1-b]]``."""
+    return np.array([[1.0 - a, b], [a, 1.0 - b]])
+
+
+def oracle_power(marginal, exponent):
+    """The pre-closed-form ``_endpoint_power``: scipy for every exponent."""
+    if exponent == 0.0:
+        return np.eye(marginal.shape[0])
+    return fractional_stochastic_power(marginal, exponent)
+
+
+def outcome(fn, *args):
+    try:
+        return "value", fn(*args).tobytes()
+    except Exception as exc:  # the refusal, by type and message
+        return "raised", type(exc), str(exc)
+
+
+RATES = st.floats(min_value=1e-12, max_value=0.49)
+EXPONENTS = [k / v for v in range(1, 9) for k in range(v + 1)]
+
+
+class TestClosedFormPower:
+    """2x2 marginals take ``C^t = P + lam^t (I - P)``; scipy is the oracle."""
+
+    @given(a=RATES, b=RATES)
+    @example(a=1e-12, b=1e-12)
+    @example(a=1e-12, b=0.49)
+    @example(a=0.49, b=0.49)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_scipy_oracle(self, a, b):
+        marginal = two_state(a, b)
+        for t in EXPONENTS:
+            np.testing.assert_allclose(
+                _endpoint_power(marginal, t),
+                oracle_power(marginal, t),
+                rtol=0,
+                atol=1e-12,
+            )
+
+    @given(a=RATES, b=RATES)
+    @settings(max_examples=200, deadline=None)
+    def test_halves_telescope(self, a, b):
+        marginal = two_state(a, b)
+        half = _endpoint_power(marginal, 0.5)
+        np.testing.assert_allclose(half @ half, marginal, rtol=0, atol=1e-12)
+        third = _endpoint_power(marginal, 1 / 3)
+        np.testing.assert_allclose(
+            third @ _endpoint_power(marginal, 2 / 3), marginal, rtol=0, atol=1e-12
+        )
+
+    def test_tiny_rates_keep_precision(self):
+        """``1 - lam^t`` through expm1/log1p: no cancellation at 1e-12."""
+        power = _endpoint_power(two_state(1e-12, 3e-12), 0.25)
+        assert power[1, 0] == pytest.approx(0.25e-12, rel=1e-9)
+        assert power[0, 1] == pytest.approx(0.75e-12, rel=1e-9)
+
+    def test_zero_rates_are_identity(self):
+        assert _endpoint_power(np.eye(2), 0.5).tobytes() == np.eye(2).tobytes()
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [(0.5, 0.5), (0.6, 0.7), (0.9, 0.4), (1.0, 1.0), (0.55, 0.5)],
+        ids=["lam=0", "lam=-0.3", "lam=-0.3b", "lam=-1", "lam=-0.05"],
+    )
+    @pytest.mark.parametrize("t", [0.5, 1 / 3, 0.75])
+    def test_nonpositive_lambda_keeps_old_behaviour(self, a, b, t):
+        marginal = two_state(a, b)
+        assert outcome(_endpoint_power, marginal, t) == outcome(
+            oracle_power, marginal, t
+        )
+
+    def test_exponent_one_and_larger_matrices_use_oracle(self):
+        marginal = two_state(0.03, 0.07)
+        assert _endpoint_power(marginal, 1.0).tobytes() == marginal.tobytes()
+        pair = np.kron(marginal, two_state(0.01, 0.05))
+        assert (
+            _endpoint_power(pair, 0.5).tobytes()
+            == fractional_stochastic_power(pair, 0.5).tobytes()
+        )
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_join_matches_scipy_join(self, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        cs = [random_single(rng, q, strength=0.2) for q in range(4)]
+        patches = [
+            tensored_patch(cs[0], cs[1]),
+            CalibrationMatrix((1, 2), correlated_pair_channel(0.1)),
+            tensored_patch(cs[2], cs[3]),
+            tensored_patch(cs[1], cs[3]),
+        ]
+        assert [p.qubits for p in patches] == [(0, 1), (1, 2), (2, 3), (1, 3)]
+        closed = JoinedCalibration(patches)
+        monkeypatch.setattr(joining, "_endpoint_power", oracle_power)
+        scipy_join = JoinedCalibration(patches)
+        for (mat, qubits), (ref, ref_qubits) in zip(
+            closed.factors, scipy_join.factors
+        ):
+            assert qubits == ref_qubits
+            np.testing.assert_allclose(mat, ref, rtol=0, atol=1e-12)
 
 
 class TestCorrelationPreservation:

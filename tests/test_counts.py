@@ -127,6 +127,13 @@ class TestCountsViews:
         s = c.to_sparse(normalized=False)
         assert s.total() == 4
 
+    def test_shots_summed_once(self):
+        c = Counts({0: 1.5, 2: 2.25, 3: 4}, [0, 1])
+        assert c.shots == 7.75
+        assert c.shots is c.shots  # memoised: Counts never changes
+        assert c.scaled(2.0).shots == 15.5
+        assert Counts({}, [0]).shots == 0.0
+
 
 class TestCountsTransforms:
     def test_marginalize(self):

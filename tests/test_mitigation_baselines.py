@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.analysis import one_norm_distance, success_probability
-from repro.backends import ShotBudget, SimulatedBackend
-from repro.circuits import Circuit, ghz_bfs
+from repro.backends import BudgetExceeded, ShotBudget, SimulatedBackend
+from repro.circuits import Circuit, calibration_circuit, ghz_bfs
 from repro.core import CalibrationMatrix
 from repro.mitigation import (
     BareMitigator,
@@ -35,6 +35,12 @@ def correlated_backend(n=3, seed=0, p=0.12):
         ch.add_readout(q, ReadoutError(0.01, 0.03))
     ch.add_local((0, 1), correlated_pair_channel(p))
     return SimulatedBackend(linear(n), NoiseModel.measurement_only(ch), rng=seed)
+
+
+def gate_noise_backend(n=3, seed=0):
+    channel = correlated_backend(n).noise_model.measurement_channel
+    model = NoiseModel(n, error_1q=0.01, measurement_channel=channel)
+    return SimulatedBackend(linear(n), model, rng=seed)
 
 
 def ghz_ideal(n):
@@ -118,6 +124,59 @@ class TestFull:
         out = mit.execute(qc, backend, budget)
         assert out.measured_qubits == (1, 2)
         assert success_probability(out, 0b01) > 0.9
+
+
+def sequential_full_calibration(backend, budget, fraction=0.5):
+    """The suite as a loop of single ``run`` calls (oracle for ``prepare``)."""
+    n = backend.num_qubits
+    shots = budget.split_evenly(1 << n, fraction=fraction)
+    counts = {
+        prepared: backend.run(
+            calibration_circuit(n, prepared), shots, budget=budget, tag="calibration"
+        )
+        for prepared in range(1 << n)
+    }
+    return CalibrationMatrix.from_counts(tuple(range(n)), counts)
+
+
+class TestFullBatchedSuite:
+    """``Full.prepare`` submits its 2^n circuits as one ``run_batch``."""
+
+    @pytest.mark.parametrize(
+        "make_backend",
+        [
+            lambda: tensored_backend(n=4, seed=11),
+            lambda: correlated_backend(n=3, seed=12),
+            lambda: gate_noise_backend(seed=13),
+        ],
+        ids=["tensored", "correlated", "gate-noise"],
+    )
+    def test_matches_sequential_run_loop_bitwise(self, make_backend):
+        oracle_backend, oracle_budget = make_backend(), ShotBudget(40000)
+        expected = sequential_full_calibration(oracle_backend, oracle_budget)
+        backend, budget = make_backend(), ShotBudget(40000)
+        mit = FullCalibrationMitigator()
+        mit.prepare(backend, budget, calibration_fraction=0.5)
+        assert mit.calibration.qubits == expected.qubits
+        assert mit.calibration.matrix.tobytes() == expected.matrix.tobytes()
+        assert budget.by_tag() == oracle_budget.by_tag()
+        assert budget.circuits_executed == oracle_budget.circuits_executed
+        # the sampling stream is left where the loop would leave it
+        qc = ghz_bfs(linear(backend.num_qubits))
+        assert dict(backend.run(qc, 500)) == dict(oracle_backend.run(qc, 500))
+
+    def test_unaffordable_suite_charges_nothing(self, monkeypatch):
+        backend = tensored_backend(n=3, seed=14)
+        budget = ShotBudget(1000)
+        # 8 circuits x 200 shots overdraws the 1000-shot budget
+        monkeypatch.setattr(budget, "split_evenly", lambda *args, **kwargs: 200)
+        mit = FullCalibrationMitigator()
+        with pytest.raises(BudgetExceeded):
+            mit.prepare(backend, budget)
+        assert budget.spent == 0
+        assert budget.circuits_executed == 0
+        assert mit.calibration is None
+        assert backend._dist_cache == {}
 
 
 class TestLinear:
