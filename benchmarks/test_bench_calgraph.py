@@ -39,7 +39,6 @@ from repro.backends.backend import SimulatedBackend
 from repro.backends.budget import ShotBudget
 from repro.backends.profiles import ARCHITECTURES
 from repro.calgraph import (
-    CalibrationGraphCache,
     CalibrationScheduler,
     assemble_calibration_state,
     build_calibration_graph,
@@ -48,6 +47,7 @@ from repro.circuits.library import ghz_bfs
 from repro.core import CMCMitigator
 from repro.noise.drift import drift_noise_model
 from repro.noise.models import random_device_noise
+from repro.pipeline.cache import CalibrationCache
 from repro.store import ArtifactStore, deep_equal
 
 from .conftest import RESULTS_DIR, run_once
@@ -64,7 +64,7 @@ RELAXED_SPEEDUP = 1.0  # catastrophic-regression floor: incremental never slower
 def _scheduler(graph, root, device):
     return CalibrationScheduler(
         graph,
-        CalibrationGraphCache(ArtifactStore(root)),
+        CalibrationCache(ArtifactStore(root)),
         device=device,
         method="CMC",
         shots_per_node=SHOTS_PER_NODE,

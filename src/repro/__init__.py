@@ -79,11 +79,7 @@ from repro.pipeline import (
     SweepSpec,
     run_sweep,
 )
-from repro.store import (
-    ArtifactStore,
-    PersistentCalibrationCache,
-    SweepJournal,
-)
+from repro.store import ArtifactStore, SweepJournal
 from repro.topology import CouplingMap
 
 from repro._version import __version__
@@ -124,6 +120,5 @@ __all__ = [
     "SweepSpec",
     "run_sweep",
     "ArtifactStore",
-    "PersistentCalibrationCache",
     "SweepJournal",
 ]

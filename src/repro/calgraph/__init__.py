@@ -11,7 +11,7 @@ re-key and re-execute; every clean node restores from the store — partial
 reuse that scales with drift locality, not device size.
 """
 
-from repro.calgraph.cache import CalibrationGraphCache, node_digest, node_key
+from repro.calgraph.cache import node_digest, node_key
 from repro.calgraph.drift import (
     array_digest,
     dirty_closure,
@@ -42,7 +42,6 @@ __all__ = [
     "CalNode",
     "CalNodeState",
     "CalibrationDAG",
-    "CalibrationGraphCache",
     "CalibrationScheduler",
     "NodePlan",
     "SchedulerReport",

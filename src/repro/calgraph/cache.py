@@ -1,8 +1,8 @@
-"""Node-granular calibration persistence: the `CalibrationGraphCache`.
+"""Node-granular calibration keys: ``node_key`` and ``node_digest``.
 
-Where :class:`~repro.store.calcache.PersistentCalibrationCache` stores one
-monolithic blob per ``(device, method)`` calibration event, this adapter
-stores **one artifact per DAG node**, keyed by
+Where a sweep persists one monolithic blob per calibration event
+(:func:`repro.pipeline.cache.calibration_key`), the calibration DAG
+persists **one artifact per node**, keyed by
 
 ``(device, method, node, qubits, shots, seed, local-noise-fingerprint,
 upstream-digests, params)``
@@ -14,21 +14,21 @@ its dependencies' keys, so re-measuring any upstream node automatically
 re-keys (and therefore re-derives) everything downstream, without any
 explicit invalidation pass.
 
-Both layers share the same two-tier shape (memory dict over the artifact
-store) and the same version-refusal policy — node states are bit-identity
-claims, which only hold within one engine version.
+Node states live in the same two-tier
+:class:`~repro.pipeline.cache.CalibrationCache` as sweep calibrations,
+under their own ``"calgraph-node"`` namespace, with the same
+version-refusal policy — node states are bit-identity claims, which only
+hold within one engine version.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Mapping, Tuple
 
 from repro._version import __version__
-from repro.calgraph.state import CalNodeState
-from repro.pipeline.cache import CacheStats, CalibrationRecord
-from repro.store.artifacts import ArtifactStore, canonical_key_digest
+from repro.store.artifacts import canonical_key_digest
 
-__all__ = ["CalibrationGraphCache", "node_key", "node_digest"]
+__all__ = ["node_key", "node_digest"]
 
 #: Artifact namespace for calibration DAG node states.
 KIND = "calgraph-node"
@@ -74,110 +74,3 @@ def node_digest(key: dict) -> str:
     """Content digest of a node key — the token dependents embed."""
     return canonical_key_digest(key)
 
-
-class CalibrationGraphCache:
-    """Two-tier (memory, artifact store) cache of per-node calibration state.
-
-    The memory tier is keyed by the node key's digest string; the store
-    tier holds ``{"state": CalNodeState, "shots_spent": .., "circuits_executed": ..}``
-    payloads under the full key, reusing the sweep cache's
-    :class:`~repro.pipeline.cache.CalibrationRecord` /
-    :class:`~repro.pipeline.cache.CacheStats` accounting so scheduler
-    reports read the same way as engine cache reports.
-
-    Like the sweep-level cache, node states inherit the store's payload
-    encoding (sparse/compressed under compact mode, pre-1.8 dense bytes
-    otherwise); node-key digests never depend on the encoding, so a
-    repacked store keeps every node warm.
-    """
-
-    def __init__(self, store: ArtifactStore) -> None:
-        self._store = store
-        self._entries: Dict[str, CalibrationRecord] = {}
-        self._stats = CacheStats()
-
-    @property
-    def artifact_store(self) -> ArtifactStore:
-        return self._store
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    # ------------------------------------------------------------------
-    # Tiered reads
-    # ------------------------------------------------------------------
-    def _fetch_from_disk(self, key: dict, digest: str) -> Optional[CalibrationRecord]:
-        payload = self._store.get(key)
-        if payload is None:
-            return None
-        record = CalibrationRecord(
-            state=payload["state"],
-            shots_spent=int(payload["shots_spent"]),
-            circuits_executed=int(payload["circuits_executed"]),
-        )
-        self._entries[digest] = record
-        return record
-
-    def peek(self, key: dict) -> Optional[CalibrationRecord]:
-        """Stat-free probe through both tiers (memory, then disk)."""
-        digest = node_digest(key)
-        record = self._entries.get(digest)
-        if record is not None:
-            return record
-        return self._fetch_from_disk(key, digest)
-
-    def lookup(self, key: dict) -> Optional[CalibrationRecord]:
-        """Probe both tiers, counting a hit (and its saved work) when found."""
-        digest = node_digest(key)
-        record = self._entries.get(digest)
-        if record is None:
-            record = self._fetch_from_disk(key, digest)
-        if record is None:
-            return None
-        self._stats.hits += 1
-        self._stats.saved_shots += record.shots_spent
-        self._stats.saved_circuits += record.circuits_executed
-        return record
-
-    def contains(self, key: dict) -> bool:
-        """Key-presence probe that never deserializes the payload."""
-        if node_digest(key) in self._entries:
-            return True
-        return self._store.contains(key)
-
-    # ------------------------------------------------------------------
-    # Writes
-    # ------------------------------------------------------------------
-    def store(
-        self,
-        key: dict,
-        state: CalNodeState,
-        shots_spent: int,
-        circuits_executed: int,
-    ) -> str:
-        """Write-through to both tiers; returns the node key's digest."""
-        digest = node_digest(key)
-        self._stats.misses += 1
-        record = CalibrationRecord(
-            state=state,
-            shots_spent=int(shots_spent),
-            circuits_executed=int(circuits_executed),
-        )
-        self._entries[digest] = record
-        self._store.put(
-            key,
-            {
-                "state": state,
-                "shots_spent": int(shots_spent),
-                "circuits_executed": int(circuits_executed),
-            },
-        )
-        return digest
-
-    def stats(self) -> CacheStats:
-        """Counters so far (live object; copy if you need a snapshot)."""
-        return self._stats
-
-    def clear(self) -> None:
-        """Drop the memory tier (the store tier is durable by design)."""
-        self._entries.clear()

@@ -30,10 +30,11 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro import obs
-from repro.calgraph.cache import CalibrationGraphCache, node_digest, node_key
+from repro.calgraph.cache import node_digest, node_key
 from repro.calgraph.drift import node_fingerprint
 from repro.calgraph.graph import CalGraphError, CalibrationDAG
 from repro.calgraph.state import CalNodeState
+from repro.pipeline.cache import CalibrationCache
 from repro.utils.rng import stable_rng
 
 __all__ = ["CalibrationScheduler", "NodePlan", "SchedulerReport"]
@@ -46,22 +47,12 @@ FAILED = "failed"
 
 
 def _count_node(outcome: str) -> None:
-    """Calgraph-tier cache accounting: restored nodes are hits, executed
-    nodes are misses (same semantics as the monolithic tier: a miss means
-    a cold calibration actually ran), and skipped/failed nodes land in a
-    separate outcome counter so DAG health is scrapeable."""
+    """Per-outcome node counter, so DAG health is scrapeable (cache hits
+    and misses are counted by the cache itself, under
+    ``tier="calgraph-node"``)."""
     telemetry = obs.active()
     if telemetry is None:
         return
-    if outcome == RESTORED or outcome == EXECUTED:
-        telemetry.counter(
-            "repro_calcache_lookups_total",
-            "Calibration cache lookups by tier and result",
-            ("tier", "result"),
-        ).labels(
-            tier="calgraph",
-            result="hit" if outcome == RESTORED else "miss",
-        ).inc()
     telemetry.counter(
         "repro_calgraph_nodes_total",
         "Calibration DAG node outcomes",
@@ -151,7 +142,8 @@ class CalibrationScheduler:
         The DAG to schedule (must carry executors on measure/derive nodes
         for :meth:`run`; :meth:`plan` works on any graph).
     cache:
-        Node-granular store adapter; all reuse flows through it.
+        A store-backed :class:`~repro.pipeline.cache.CalibrationCache`;
+        all reuse flows through it.
     device:
         Device identity token in every node key (profile name or an
         ``architecture:n`` label).
@@ -170,7 +162,7 @@ class CalibrationScheduler:
     def __init__(
         self,
         graph: CalibrationDAG,
-        cache: CalibrationGraphCache,
+        cache: CalibrationCache,
         *,
         device: str,
         method: str,

@@ -1386,12 +1386,12 @@ def _cmd_calib(args: argparse.Namespace) -> str:
     from repro.calgraph import (
         CalGraphError,
         CalibrationDAG,
-        CalibrationGraphCache,
         CalibrationScheduler,
         build_calibration_graph,
         dirty_nodes,
     )
     from repro.noise.drift import drift_noise_model
+    from repro.pipeline.cache import CalibrationCache
     from repro.store import ArtifactStore
     from repro.utils.rng import stable_rng
 
@@ -1465,7 +1465,7 @@ def _cmd_calib(args: argparse.Namespace) -> str:
                 graph.node(name)  # unknown names refuse here
         scheduler = CalibrationScheduler(
             graph,
-            CalibrationGraphCache(store),
+            CalibrationCache(store),
             device=label,
             method=args.method,
             shots_per_node=args.shots_per_node,

@@ -36,6 +36,7 @@ from repro.mitigation.full import FullCalibrationMitigator, NotScalableError
 from repro.mitigation.jigsaw import JigsawMitigator
 from repro.mitigation.linear import LinearCalibrationMitigator
 from repro.mitigation.simavg import SIMMitigator
+from repro.pipeline.cache import calibration_key
 from repro.topology.coupling_map import CouplingMap
 from repro.utils.rng import RandomState, ensure_rng, stable_rng
 
@@ -174,7 +175,9 @@ def run_suite_cached(
         function of its identity rather than of execution history.
     ``cache``
         A :class:`~repro.pipeline.cache.CalibrationCache` (duck-typed:
-        ``lookup``/``store``).  Reusable methods whose key was measured
+        ``lookup``/``store``), probed with
+        :func:`~repro.pipeline.cache.calibration_key` of the reseed scope.
+        Reusable methods whose key was measured
         before skip their calibration circuits, restore the memoized state
         and replay the recorded budget spend — bit-identical to measuring
         again under the same scope, just without the device time.
@@ -214,7 +217,7 @@ def run_suite_cached(
             )
             restored = False
             if cacheable:
-                record = cache.lookup(key)
+                record = cache.lookup(calibration_key(key))
                 if record is not None:
                     mitigator.load_calibration_state(record.state)
                     budget.replay(record.shots_spent, record.circuits_executed)
@@ -229,7 +232,7 @@ def run_suite_cached(
                     state = mitigator.calibration_state()
                     if state is not None:
                         cache.store(
-                            key,
+                            calibration_key(key),
                             state,
                             budget.spent - spent_before,
                             budget.circuits_executed - circuits_before,

@@ -35,8 +35,8 @@ correlation maps) whose work units are not method suites.
 Persistence (``store=`` / ``resume=``): pointing a sweep at a
 :class:`~repro.store.artifacts.ArtifactStore` directory journals every
 completed task (:class:`~repro.store.journal.SweepJournal`, fsynced per
-entry) and swaps the per-task calibration cache for the two-tier
-:class:`~repro.store.calcache.PersistentCalibrationCache`.  Because every
+entry) and gives the per-task calibration cache its store tier
+(``CalibrationCache(store)``).  Because every
 task is a pure function of ``(spec, coordinates)``, replaying journaled
 tasks under ``resume=True`` — or restoring calibrations a previous process
 measured — is bit-identical to recomputing them; a crashed sweep loses at
@@ -427,11 +427,11 @@ def execute_task(
     workers too; ``None`` keeps the reopened store's own default.
 
     ``cache`` overrides cache construction entirely (in-process callers
-    only — caches do not pickle into pool workers).  The service
-    coordinator uses this to run tasks of several concurrent sweeps
-    against one shared :class:`~repro.store.calcache.PersistentCalibrationCache`;
-    hit/miss accounting must then be per-task (see
-    ``repro.service.coordinator._SharedCacheView``).
+    only — caches do not pickle into pool workers).  In-process dispatch
+    of a process-local store (``mem://``) passes
+    :meth:`SweepSession.task_cache` here: a fresh cache over the live
+    store, so hit/miss accounting stays per task and write-through makes
+    every calibration visible to the next task at once.
     """
     # Imported lazily: repro.experiments imports this package for its
     # drivers, so a module-level import here would be circular.
@@ -448,11 +448,8 @@ def execute_task(
     if cache is None and spec.reuse_calibration:
         if store_root is not None:
             from repro.store.artifacts import ArtifactStore
-            from repro.store.calcache import PersistentCalibrationCache
 
-            cache = PersistentCalibrationCache(
-                ArtifactStore(store_root, options=store_options)
-            )
+            cache = CalibrationCache(ArtifactStore(store_root, options=store_options))
         else:
             cache = CalibrationCache()
     if not spec.reuse_calibration:
@@ -670,9 +667,7 @@ class SweepSession:
             return None
         if self.store.backend.cross_process:
             return None
-        from repro.store.calcache import PersistentCalibrationCache
-
-        return PersistentCalibrationCache(self.store)
+        return CalibrationCache(self.store)
 
     def record(self, coord: TaskCoord, outcome: TaskOutcome) -> int:
         """Journal + retain one completed task; returns the done count.

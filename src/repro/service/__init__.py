@@ -13,8 +13,9 @@ around one shared :class:`~repro.store.artifacts.ArtifactStore`:
   seed derivation guarantees any order is bit-identical;
 * :class:`~repro.service.coordinator.SweepCoordinator` — an asyncio
   coordinator driving the pipeline's :class:`~repro.pipeline.runner.SweepSession`
-  task dispatch off the event loop: multiple sweeps run concurrently under
-  one shared :class:`~repro.store.calcache.PersistentCalibrationCache`,
+  task dispatch off the event loop: multiple sweeps run concurrently over
+  one shared store, whose calibration tier every task reads and writes
+  through a fresh per-task :class:`~repro.pipeline.cache.CalibrationCache`,
   and every completed :class:`~repro.pipeline.runner.TaskOutcome` is
   published to subscribers the moment it lands in the journal (each
   watcher sees every journal row exactly once);

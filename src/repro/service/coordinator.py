@@ -15,14 +15,13 @@ What the event loop adds:
   Same-spec submissions are serialised per journal digest (two live
   writers of one journal are forbidden by the store's advisory lock;
   queueing beats failing);
-* **one shared calibration cache** — with the default thread executor,
-  every task of every sweep runs against a single
-  :class:`~repro.store.calcache.PersistentCalibrationCache` through
-  per-task :class:`_SharedCacheView`\\ s: entries (and the disk tier) are
-  shared across sweeps, while hit/miss accounting stays per task so each
+* **one shared calibration tier** — every task of every sweep runs
+  exactly as under the sync runner: a fresh per-task
+  :class:`~repro.pipeline.cache.CalibrationCache` over the (tenant's)
+  store, whose write-through makes a calibration visible to the next task
+  at once, while hit/miss accounting stays per task so each
   :class:`~repro.pipeline.runner.TaskOutcome` reports exactly the work it
-  saved.  Under ``use_processes=True`` sharing happens through the store's
-  disk tier instead (caches do not pickle);
+  saved;
 * **streaming** — the moment a task outcome lands in the journal it is
   published to every watcher as the journal-entry dict
   (:func:`~repro.store.journal.task_entry`).  :meth:`watch` replays the
@@ -51,7 +50,6 @@ import asyncio
 import functools
 import itertools
 import json
-import threading
 import time
 from collections import deque
 from concurrent.futures import Executor, ThreadPoolExecutor
@@ -59,7 +57,6 @@ from typing import AsyncIterator, Deque, Dict, List, Optional, Set, Tuple
 
 from repro import obs
 from repro._version import __version__
-from repro.pipeline.cache import CacheKey, CalibrationCache, CalibrationRecord
 from repro.pipeline.runner import (
     ParallelSweepRunner,
     StoreLike,
@@ -78,7 +75,6 @@ from repro.service.tenancy import (
     validate_tenant,
 )
 from repro.store.artifacts import ArtifactStore
-from repro.store.calcache import PersistentCalibrationCache
 from repro.store.faults import TransientStoreError
 from repro.store.journal import journal_spec_digest, outcome_from_entry, task_entry
 
@@ -137,48 +133,6 @@ def _close_abandoned_session(future) -> None:
     if future.cancelled() or future.exception() is not None:
         return  # open failed: open_session released the lock itself
     future.result().close()
-
-
-class _SharedCacheView(CalibrationCache):
-    """A per-task cache whose entries are shared with a coordinator-wide
-    :class:`PersistentCalibrationCache`.
-
-    Keeps the engine's accounting invariant — each task outcome reports
-    its *own* hits/misses/saved work — while letting concurrent sweeps
-    reuse each other's calibrations the instant they are measured.  All
-    shared-cache access goes through :meth:`CalibrationCache.peek` /
-    ``store`` under one lock, so thread-executor tasks cannot interleave
-    a promotion mid-write.
-    """
-
-    def __init__(self, shared: PersistentCalibrationCache, lock: threading.Lock):
-        super().__init__()
-        self._shared = shared
-        self._lock = lock
-
-    def lookup(self, key: CacheKey) -> Optional[CalibrationRecord]:
-        record = super().lookup(key)  # own memory tier (counts the hit)
-        if record is not None:
-            return record
-        with self._lock:
-            record = self._shared.peek(key)  # stat-free: the hit is ours
-        if record is None:
-            return None
-        self._entries[key] = record
-        self._stats.hits += 1
-        self._stats.saved_shots += record.shots_spent
-        self._stats.saved_circuits += record.circuits_executed
-        return record
-
-    def store(
-        self, key: CacheKey, state: dict, shots_spent: int, circuits_executed: int
-    ) -> None:
-        super().store(key, state, shots_spent, circuits_executed)  # own miss
-        with self._lock:
-            # Write-through to the shared memory tier and (via the
-            # persistent cache) the artifact store.  The shared stats are
-            # never reported anywhere, so its own miss count is inert.
-            self._shared.store(key, state, shots_spent, circuits_executed)
 
 
 class _WorkerState:
@@ -377,9 +331,9 @@ class SweepCoordinator:
         is evicted and its leases re-issued (default ``2 * lease_ttl``).
     use_processes:
         ``False`` (default) executes tasks on a thread pool inside this
-        process — cheap start-up, one shared in-memory calibration tier.
-        ``True`` uses a process pool: full CPU parallelism for cold
-        grids, calibration sharing through the store's disk tier.
+        process — cheap start-up.  ``True`` uses a process pool: full CPU
+        parallelism for cold grids.  Either way calibrations are shared
+        through the store's calibration tier.
     max_finished_jobs:
         Terminal (done/failed/cancelled) jobs kept queryable, oldest
         evicted first.  A long-running server would otherwise retain
@@ -446,13 +400,11 @@ class SweepCoordinator:
         )
         self._ledger = TenantLedger(tenant_quotas, default_quota)
         self._executor: Optional[Executor] = None
-        self._shared_cache = PersistentCalibrationCache(self.store)
-        self._cache_lock = threading.Lock()
-        #: Per-tenant (ArtifactStore, PersistentCalibrationCache) over the
-        #: tenant's ``tenants/<id>/`` prefix view; ``None`` → root store.
-        self._tenant_stores: Dict[
-            Optional[str], Tuple[ArtifactStore, PersistentCalibrationCache]
-        ] = {None: (self.store, self._shared_cache)}
+        #: Per-tenant ArtifactStore over the tenant's ``tenants/<id>/``
+        #: prefix view; ``None`` → root store.
+        self._tenant_stores: Dict[Optional[str], ArtifactStore] = {
+            None: self.store
+        }
         self._jobs: Dict[str, SweepJob] = {}
         self._digest_locks: Dict[str, asyncio.Lock] = {}
         self._next_id = 1
@@ -1100,43 +1052,21 @@ class SweepCoordinator:
                 )
         return self._executor
 
-    def _tenant_ctx(
-        self, tenant: Optional[str]
-    ) -> Tuple[ArtifactStore, PersistentCalibrationCache]:
-        """The store view + shared calibration tier a tenant runs against.
+    def _tenant_store(self, tenant: Optional[str]) -> ArtifactStore:
+        """The store view a tenant runs against.
 
-        One pair per tenant for the server's lifetime: calibrations are
-        shared across a tenant's sweeps but never across tenants (their
-        artifact namespaces are disjoint by construction).
+        One per tenant for the server's lifetime: calibrations are shared
+        across a tenant's sweeps but never across tenants (their artifact
+        namespaces are disjoint by construction).
         """
-        ctx = self._tenant_stores.get(tenant)
-        if ctx is None:
+        store = self._tenant_stores.get(tenant)
+        if store is None:
             store = ArtifactStore(
                 tenant_backend(self.store.backend, tenant),
                 options=self.store.options,
             )
-            ctx = (store, PersistentCalibrationCache(store))
-            self._tenant_stores[tenant] = ctx
-        return ctx
-
-    def _task_callable(self, job: SweepJob, session, coord):
-        """The zero-arg callable executing one coordinate — the same
-        dispatch tuple the sync runner uses, plus the shared-cache view
-        when tasks run in-process."""
-        spec, point, trials, store_root = session.task_args(coord)
-        if self.use_processes or not spec.reuse_calibration:
-            return functools.partial(
-                execute_task,
-                spec,
-                point,
-                trials,
-                store_root,
-                store_options=session.store_options,
-            )
-        view = _SharedCacheView(self._tenant_ctx(job.tenant)[1], self._cache_lock)
-        return functools.partial(
-            execute_task, spec, point, trials, store_root, cache=view
-        )
+            self._tenant_stores[tenant] = store
+        return store
 
     async def _publish(self, job: SweepJob, entry: dict, replayed: bool) -> None:
         event = dict(entry)
@@ -1279,10 +1209,17 @@ class SweepCoordinator:
                 sweep_id=job.sweep_id,
                 worker="local",
             )
+            session = dispatch.session
             try:
+                # exactly the sync runner's dispatch
                 outcome = await loop.run_in_executor(
                     self._get_executor(),
-                    self._task_callable(job, dispatch.session, coord),
+                    functools.partial(
+                        execute_task,
+                        *session.task_args(coord),
+                        cache=session.task_cache(),
+                        store_options=session.store_options,
+                    ),
                 )
             except asyncio.CancelledError:
                 raise
@@ -1294,7 +1231,7 @@ class SweepCoordinator:
     async def _run_job(self, job: SweepJob, digest: str) -> None:
         loop = asyncio.get_running_loop()
         lock = self._digest_locks.setdefault(job.lock_key, asyncio.Lock())
-        store, _ = self._tenant_ctx(job.tenant)
+        store = self._tenant_store(job.tenant)
         try:
             async with lock:  # one live writer per journal (queue, don't fail)
                 runner = ParallelSweepRunner(

@@ -35,11 +35,11 @@ import asyncio
 from typing import Callable, Optional, Union
 
 from repro import obs
+from repro.pipeline.cache import CalibrationCache
 from repro.pipeline.runner import execute_payload
 from repro.service.client import ServiceError, SweepClient
 from repro.service.server import DEFAULT_PORT
 from repro.store.artifacts import ArtifactStore
-from repro.store.calcache import PersistentCalibrationCache
 from repro.store.journal import task_entry
 
 __all__ = ["FleetWorker", "WorkerReport"]
@@ -149,10 +149,10 @@ class FleetWorker:
         payload = dict(task)
         cache = None
         if self._store is not None:
-            # a fresh per-task persistent cache: same accounting as
-            # execute_task's own construction, shared disk tier
+            # a fresh per-task two-tier cache: same accounting as
+            # execute_task's own construction, shared store tier
             payload["store"] = None
-            cache = PersistentCalibrationCache(self._store)
+            cache = CalibrationCache(self._store)
         outcome = execute_payload(payload, cache=cache)
         telemetry = obs.active()
         if telemetry is not None:

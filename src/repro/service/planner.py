@@ -49,6 +49,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Mapping, Tuple, Union
 
 from repro import obs
+from repro.pipeline.cache import calibration_key
 from repro.pipeline.runner import (
     StoreLike,
     TaskCoord,
@@ -56,7 +57,6 @@ from repro.pipeline.runner import (
 )
 from repro.pipeline.spec import SweepSpec
 from repro.store.artifacts import ArtifactStore
-from repro.store.calcache import PersistentCalibrationCache
 from repro.store.journal import SweepJournal, journal_spec_digest
 
 __all__ = ["TaskPlan", "SweepPlanner"]
@@ -220,7 +220,8 @@ class SweepPlanner:
 
         Probes the identical keys
         :func:`~repro.experiments.runner.run_suite_cached` derives — scope
-        + (method, shots) wrapped by the persistent cache's artifact key —
+        + (method, shots) wrapped by
+        :func:`~repro.pipeline.cache.calibration_key` —
         so the planner and the engine cannot disagree about what a hit
         means.  Only state-bearing methods within their scalability caps
         appear: the rest never persist anything, and counting artifacts
@@ -242,11 +243,7 @@ class SweepPlanner:
         keys = self.expected_keys(spec, coord)
         if not keys:
             return 0.0
-        present = sum(
-            1
-            for key in keys
-            if self.store.contains(PersistentCalibrationCache._artifact_key(key))
-        )
+        present = sum(1 for key in keys if self.store.contains(calibration_key(key)))
         return present / len(keys)
 
     def is_warm(self, spec: SweepSpec, coord: TaskCoord) -> bool:

@@ -25,10 +25,9 @@ This package makes everything the pipeline measures durable, over a
   completed sweep tasks, so ``run_sweep(spec, store=..., resume=True)``
   restarts a crashed grid exactly where it stopped, bit-identical to an
   uninterrupted run; guarded by a backend-held lease;
-* :class:`~repro.store.calcache.PersistentCalibrationCache` — the
-  in-memory :class:`~repro.pipeline.cache.CalibrationCache` with the store
-  as a second tier, making a warm grid rerun skip **every** calibration
-  execution while provably reporting the same method errors.
+* the store tier of :class:`~repro.pipeline.cache.CalibrationCache`
+  (``CalibrationCache(store)``), making a warm grid rerun skip **every**
+  calibration execution while provably reporting the same method errors.
 
 Quick start::
 
@@ -65,7 +64,6 @@ from repro.store.backends import (
     reset_memory_spaces,
     set_default_object_client,
 )
-from repro.store.calcache import PersistentCalibrationCache
 from repro.store.codecs import (
     EncodeOptions,
     NonFiniteValueError,
@@ -82,7 +80,6 @@ from repro.store.locator import StoreLocator, parse_store_locator
 __all__ = [
     "ArtifactInfo",
     "ArtifactStore",
-    "PersistentCalibrationCache",
     "SweepJournal",
     "StoreBackend",
     "LocalDirBackend",

@@ -1,149 +1,7 @@
-"""Two-tier calibration cache: in-memory first, artifact store second.
+"""Backward-compatible import path for the two-tier calibration cache.
 
-:class:`PersistentCalibrationCache` extends the sweep engine's in-memory
-:class:`~repro.pipeline.cache.CalibrationCache` with an
-:class:`~repro.store.artifacts.ArtifactStore` tier, so calibration state
-measured by one process is reusable by every later (or concurrent) process
-running the same logical sweep — a warm rerun of a whole grid performs
-**zero** calibration executions (``stats().misses == 0``, pinned in
-``tests/test_store_resume.py``).
-
-The budget-replay discipline is preserved exactly: a store-tier hit
-restores the same ``(state, shots_spent, circuits_executed)`` triple a
-memory hit would have, so the caller replays the identical ledger spend and
-cold/warm method errors are provably equal (see
-:mod:`repro.pipeline.cache` for the argument — nothing about it depends on
-*which* tier produced the record, only on the engine's reseed-per-key
-discipline, which makes the record a pure function of the key).
-
-Cache keys are tuples of primitives (spec digest, point, trial, method,
-budget).  They are content-addressed on disk through the same canonical
-JSON scheme as every other artifact, namespaced under
-``{"kind": "calibration"}``.
+The cache lives in :mod:`repro.pipeline.cache`; construct it with an
+:class:`~repro.store.artifacts.ArtifactStore` to get the store tier.
 """
 
-from __future__ import annotations
-
-from typing import Optional
-
-from repro import obs
-from repro._version import __version__
-from repro.pipeline.cache import CacheKey, CalibrationCache, CalibrationRecord
-from repro.store.artifacts import ArtifactStore
-
-__all__ = ["PersistentCalibrationCache"]
-
-
-class PersistentCalibrationCache(CalibrationCache):
-    """A :class:`CalibrationCache` backed by an on-disk second tier.
-
-    Payload encoding follows the store it wraps: a compact-mode
-    :class:`ArtifactStore` persists calibration states sparsely (see
-    :mod:`repro.store.codecs`), a dense one writes the pre-1.8 bytes —
-    either way restores are bit-exact and digests are identical, so
-    warm tiers written under one encoding stay warm under the other.
-    """
-
-    def __init__(self, store: ArtifactStore) -> None:
-        super().__init__()
-        self._store = store
-
-    @property
-    def artifact_store(self) -> ArtifactStore:
-        return self._store
-
-    def graph_cache(self):
-        """Node-granular sibling over the same artifact store.
-
-        Monolithic calibration events and calibration-DAG node states are
-        different artifact namespaces (``"calibration"`` vs
-        ``"calgraph-node"``) sharing one store, so a sweep's warm tier and
-        the incremental scheduler's partial-reuse tier co-exist in any
-        backend the store supports.
-        """
-        from repro.calgraph.cache import CalibrationGraphCache
-
-        return CalibrationGraphCache(self._store)
-
-    @staticmethod
-    def _artifact_key(key: CacheKey) -> dict:
-        # The library version is part of the identity, mirroring the sweep
-        # journal's refusal policy: bit-identity only holds within one
-        # engine version (releases have changed numbers under identical
-        # seeds before), so an upgraded install misses cleanly and
-        # re-measures rather than silently restoring state the current
-        # code would never produce.
-        return {
-            "kind": "calibration",
-            "version": __version__,
-            "key": tuple(key),
-        }
-
-    def _fetch_from_disk(self, key: CacheKey) -> Optional[CalibrationRecord]:
-        """Store-tier read, promoting into the memory tier on success.
-
-        No stats are touched here — promotion is not a miss (misses mean
-        "cold calibrations actually performed") and which caller gets the
-        hit credited is the caller's business (:meth:`lookup` vs
-        :meth:`peek`)."""
-        payload = self._store.get(self._artifact_key(key))
-        if payload is None:
-            return None
-        record = CalibrationRecord(
-            state=payload["state"],
-            shots_spent=int(payload["shots_spent"]),
-            circuits_executed=int(payload["circuits_executed"]),
-        )
-        self._entries[key] = record
-        telemetry = obs.active()
-        if telemetry is not None:
-            telemetry.counter(
-                "repro_calcache_store_restores_total",
-                "Calibration records restored from the artifact tier",
-            ).inc()
-        return record
-
-    def peek(self, key: CacheKey) -> Optional[CalibrationRecord]:
-        """Stat-free probe through both tiers (memory, then disk)."""
-        record = super().peek(key)
-        if record is not None:
-            return record
-        return self._fetch_from_disk(key)
-
-    def lookup(self, key: CacheKey) -> Optional[CalibrationRecord]:
-        record = super().lookup(key)  # memory tier (counts the hit)
-        if record is not None:
-            return record
-        record = self._fetch_from_disk(key)
-        if record is None:
-            return None
-        # Count the disk hit with the same saved-work accounting as a
-        # memory hit.
-        self._stats.hits += 1
-        self._stats.saved_shots += record.shots_spent
-        self._stats.saved_circuits += record.circuits_executed
-        return record
-
-    def store(
-        self,
-        key: CacheKey,
-        state: dict,
-        shots_spent: int,
-        circuits_executed: int,
-    ) -> None:
-        """Write-through: memory tier plus a durable artifact."""
-        super().store(key, state, shots_spent, circuits_executed)
-        telemetry = obs.active()
-        if telemetry is not None:
-            telemetry.counter(
-                "repro_calcache_store_writes_total",
-                "Calibration records written through to the artifact tier",
-            ).inc()
-        self._store.put(
-            self._artifact_key(key),
-            {
-                "state": state,
-                "shots_spent": int(shots_spent),
-                "circuits_executed": int(circuits_executed),
-            },
-        )
+from repro.pipeline.cache import CalibrationCache as PersistentCalibrationCache  # noqa: F401

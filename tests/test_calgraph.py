@@ -29,6 +29,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
+from repro._version import __version__
 from repro.backends.backend import SimulatedBackend
 from repro.backends.budget import ShotBudget
 from repro.backends.profiles import (
@@ -41,7 +43,6 @@ from repro.calgraph import (
     CalNode,
     CalNodeState,
     CalibrationDAG,
-    CalibrationGraphCache,
     CalibrationScheduler,
     CyclicGraphError,
     UnknownNodeError,
@@ -58,13 +59,14 @@ from repro.core import CalibrationMatrix, CMCERRMitigator, CMCMitigator
 from repro.mitigation import FullCalibrationMitigator, LinearCalibrationMitigator
 from repro.noise.drift import drift_noise_model
 from repro.noise.models import random_device_noise
+from repro.pipeline.cache import CalibrationCache, calibration_key
 from repro.store import (
     ArtifactStore,
     FakeObjectClient,
     LocalDirBackend,
     MemoryBackend,
     ObjectStoreBackend,
-    PersistentCalibrationCache,
+    canonical_key_digest,
     deep_equal,
     reset_memory_spaces,
 )
@@ -306,7 +308,7 @@ class TestScheduler:
         graph = build_calibration_graph(method, backend.coupling_map)
         sched = CalibrationScheduler(
             graph,
-            CalibrationGraphCache(store),
+            CalibrationCache(store),
             device="quito",
             method=method,
             shots_per_node=128,
@@ -331,6 +333,30 @@ class TestScheduler:
             {k: v.payload for k, v in warm.states.items()},
             {k: v.payload for k, v in cold.states.items()},
         )
+
+    def test_warm_run_counts_each_restored_node_once(self, store):
+        backend, cold_sched = self._scheduler(store)
+        _, warm_sched = self._scheduler(store)  # fresh memory tier
+        telemetry = obs.enable(obs.Telemetry())
+        try:
+            cold = cold_sched.run(backend)
+            warm = warm_sched.run(backend)
+            snap = telemetry.snapshot()
+        finally:
+            obs.disable()
+        assert len(warm.restored) == 4
+        lookups = {
+            tuple(sorted(s["labels"].items())): s["value"]
+            for s in snap["repro_calcache_lookups_total"]["series"]
+        }
+        assert lookups == {
+            (("result", "miss"), ("tier", "calgraph-node")): len(cold.executed),
+            (("result", "hit"), ("tier", "calgraph-node")): len(warm.restored),
+        }
+        restores = snap["repro_calcache_store_restores_total"]["series"]
+        assert restores[0]["value"] == len(warm.restored)
+        saved = snap["repro_cache_saved_shots_total"]["series"][0]["value"]
+        assert saved == warm.replayed_shots
 
     def test_distinct_seeds_never_alias(self, store):
         backend, sched_a = self._scheduler(store, seed=0)
@@ -371,7 +397,7 @@ class TestScheduler:
             CalNode("derived", "derive", (), lambda deps: deps), deps=("bad",)
         )
         sched = CalibrationScheduler(
-            dag, CalibrationGraphCache(store),
+            dag, CalibrationCache(store),
             device="d", method="CMC", shots_per_node=8,
         )
         report = sched.run(quito_backend())
@@ -387,7 +413,7 @@ class TestScheduler:
         dag = CalibrationDAG()
         dag.add_node(CalNode("bad", "measure", (0,), boom))
         sched = CalibrationScheduler(
-            dag, CalibrationGraphCache(store),
+            dag, CalibrationCache(store),
             device="d", method="CMC", shots_per_node=8, on_failure="abort",
         )
         with pytest.raises(RuntimeError, match="detuned"):
@@ -396,7 +422,7 @@ class TestScheduler:
     def test_opaque_nodes_cannot_run(self, store):
         dag = CalibrationDAG.from_spec({"nodes": [{"name": "a"}]})
         sched = CalibrationScheduler(
-            dag, CalibrationGraphCache(store),
+            dag, CalibrationCache(store),
             device="d", method="CMC", shots_per_node=8,
         )
         with pytest.raises(CalGraphError, match="no executor"):
@@ -404,7 +430,7 @@ class TestScheduler:
 
     def test_constructor_validation(self, store):
         dag = CalibrationDAG()
-        cache = CalibrationGraphCache(store)
+        cache = CalibrationCache(store)
         with pytest.raises(ValueError, match="on_failure"):
             CalibrationScheduler(
                 dag, cache, device="d", method="CMC",
@@ -438,7 +464,7 @@ class TestIncrementalEqualsFull:
         def scheduler(root):
             return CalibrationScheduler(
                 graph,
-                CalibrationGraphCache(ArtifactStore(LocalDirBackend(root))),
+                CalibrationCache(ArtifactStore(LocalDirBackend(root))),
                 device="fc8",
                 method=method,
                 shots_per_node=128,
@@ -514,7 +540,7 @@ class TestCalibrationPlanBijection:
         graph = build_calibration_graph("CMC", cm)
         sched = CalibrationScheduler(
             graph,
-            CalibrationGraphCache(ArtifactStore(LocalDirBackend(tmp_path))),
+            CalibrationCache(ArtifactStore(LocalDirBackend(tmp_path))),
             device="quito", method="CMC", shots_per_node=256,
         )
         report = sched.run(backend)
@@ -540,7 +566,7 @@ class TestGraphCacheTiers:
         return CalNodeState("edge:0-1", "measure", (0, 1), {"x": 1}, "f" * 16)
 
     def test_peek_is_stat_free_through_both_tiers(self, store):
-        writer = CalibrationGraphCache(store)
+        writer = CalibrationCache(store)
         key = self._key()
         assert writer.peek(key) is None
         assert writer.stats().hits == writer.stats().misses == 0
@@ -548,47 +574,68 @@ class TestGraphCacheTiers:
 
         # a *fresh* cache over the same store: memory tier empty, so peek
         # must fall through to the artifact tier and promote
-        reader = CalibrationGraphCache(store)
+        reader = CalibrationCache(store)
         record = reader.peek(key)
         assert record is not None and record.shots_spent == 128
         assert reader.stats().hits == 0  # stat-free by contract
         assert len(reader) == 1  # promoted into the memory tier
 
     def test_lookup_counts_saved_work(self, store):
-        writer = CalibrationGraphCache(store)
+        writer = CalibrationCache(store)
         key = self._key()
         writer.store(key, self._state(), 128, 4)
-        reader = CalibrationGraphCache(store)
+        reader = CalibrationCache(store)
         assert reader.lookup(key) is not None
         stats = reader.stats()
         assert (stats.hits, stats.saved_shots, stats.saved_circuits) == (1, 128, 4)
         assert reader.lookup(self._key(fingerprint="0" * 16)) is None
 
     def test_contains_never_deserialises(self, store):
-        cache = CalibrationGraphCache(store)
+        cache = CalibrationCache(store)
         key = self._key()
         assert not cache.contains(key)
         cache.store(key, self._state(), 1, 1)
-        assert CalibrationGraphCache(store).contains(key)
+        assert CalibrationCache(store).contains(key)
 
     def test_graph_cache_rides_the_persistent_cache_store(self, store):
-        """PersistentCalibrationCache.peek's store tier and the node-granular
-        adapter coexist in one store without key collisions."""
-        monolithic = PersistentCalibrationCache(store)
-        mono_key = ("cal", "digest", 0, 0, "CMC", 16000)
+        """Sweep calibration keys and node keys coexist in one store (and
+        one cache) without key collisions."""
+        monolithic = CalibrationCache(store)
+        mono_key = calibration_key(("cal", "digest", 0, 0, "CMC", 16000))
         assert monolithic.peek(mono_key) is None  # miss before anything
 
-        nodes = monolithic.graph_cache()
+        nodes = CalibrationCache(store)
         assert nodes.artifact_store is store
         nkey = self._key()
         nodes.store(nkey, self._state(), 128, 4)
 
+        assert node_digest(nkey) != canonical_key_digest(mono_key)
         # node-granular writes don't make the monolithic key appear...
         assert monolithic.peek(mono_key) is None
         monolithic.store(mono_key, {"patch_calibrations": {}}, 64, 2)
         # ...and both tiers now hit independently through fresh instances
-        assert PersistentCalibrationCache(store).peek(mono_key) is not None
-        assert CalibrationGraphCache(store).peek(nkey) is not None
+        assert CalibrationCache(store).peek(mono_key) is not None
+        assert CalibrationCache(store).peek(nkey) is not None
+
+    def test_node_key_digest_is_stable(self):
+        # the key layout every store written so far is addressed by
+        key = self._key()
+        literal = {
+            "kind": "calgraph-node",
+            "version": __version__,
+            "key": {
+                "device": "quito",
+                "method": "CMC",
+                "node": "edge:0-1",
+                "qubits": (0, 1),
+                "shots": 128,
+                "seed": 0,
+                "noise": "f" * 16,
+                "deps": {},
+                "params": {},
+            },
+        }
+        assert node_digest(key) == canonical_key_digest(literal)
 
     def test_node_digest_changes_with_any_key_field(self):
         base = self._key()

@@ -23,7 +23,7 @@ import urllib.request
 import pytest
 
 from repro import obs
-from repro.pipeline import BackendSpec, CircuitSpec, SweepSpec
+from repro.pipeline import BackendSpec, CircuitSpec, SweepSpec, run_sweep
 from repro.service import ServiceError, SweepClient, SweepServer
 from repro.store import ArtifactStore, MemoryBackend, reset_memory_spaces
 from repro.store.journal import journal_spec_digest
@@ -433,6 +433,37 @@ class TestHotPathCounters:
         assert ops[key_get] == 2 and ops[key_put] == 1
         lat = snap["repro_backend_op_seconds"]["series"]
         assert sum(s["count"] for s in lat) == 3
+
+    def test_calcache_counters_match_warm_sweep_accounting(self):
+        # a warm rerun hits twice per (trial, method): once restoring from
+        # the store tier (first circuit), once from memory (second
+        # circuit) — the counters must see every hit, whichever tier
+        reset_memory_spaces("obs-warm")
+        spec = small_spec(
+            circuits=(CircuitSpec(root=0), CircuitSpec(root=1)),
+            methods=("Bare", "Linear", "CMC"),
+        )
+        store = ArtifactStore("mem://obs-warm")
+        try:
+            run_sweep(spec, store=store)  # cold: fills the store tier
+            telemetry = obs.enable(obs.Telemetry())
+            warm = run_sweep(spec, store=store)
+            snap = telemetry.snapshot()
+        finally:
+            obs.disable()
+            reset_memory_spaces("obs-warm")
+        assert warm.cache_misses == 0 and warm.cache_hits == 8
+        lookups = {
+            tuple(sorted(s["labels"].items())): s["value"]
+            for s in snap["repro_calcache_lookups_total"]["series"]
+        }
+        assert lookups == {
+            (("result", "hit"), ("tier", "calibration")): warm.cache_hits
+        }
+        saved = snap["repro_cache_saved_shots_total"]["series"][0]["value"]
+        assert saved == warm.saved_shots
+        restores = snap["repro_calcache_store_restores_total"]["series"]
+        assert restores[0]["value"] == 4  # (Linear, CMC) x 2 trials
 
     def test_admission_refusals_counted_by_kind(self, tmp_path):
         spec = small_spec()

@@ -353,14 +353,15 @@ class TestCoordinator:
         assert record_keys(res1) == record_keys(res2)
         assert res1.cache_misses > 0
         # the second sweep reused every calibration the first measured —
-        # through the coordinator's shared cache, not a re-measurement
+        # through the store tier its per-task caches read, not a
+        # re-measurement
         assert res2.cache_misses == 0
         assert res2.cache_hits == res1.cache_hits + res1.cache_misses
 
     def test_shared_cache_accounting_is_per_task(self, tmp_path):
         # two tasks of one sweep share calibrations? they cannot (keys
         # embed the trial) — but each task's outcome must report only its
-        # own misses even though all tasks feed one shared cache
+        # own misses even though all tasks feed one shared store tier
         spec = small_spec()
 
         async def body():

@@ -22,11 +22,11 @@ import pytest
 
 from repro.cli import main
 from repro.pipeline import BackendSpec, CircuitSpec, SweepSpec, run_sweep
+from repro.pipeline.cache import CalibrationCache, calibration_key
 from repro.service.planner import SweepPlanner
 from repro.store import (
     ArtifactStore,
     FakeObjectClient,
-    PersistentCalibrationCache,
     reset_memory_spaces,
 )
 
@@ -184,11 +184,11 @@ class TestObjectStoreIntegration:
     def test_persistent_cache_over_fake_s3(self):
         client = FakeObjectClient()
         store = ArtifactStore("s3://fleet/warm-tier", client=client)
-        cache = PersistentCalibrationCache(store)
-        key = ("cal", 1, 0, "CMC", 2000)
+        cache = CalibrationCache(store)
+        key = calibration_key(("cal", 1, 0, "CMC", 2000))
         cache.store(key, {"x": (0, 1)}, 500, 2)
         # a different "process" (fresh cache, same bucket) sees the tier
-        reborn = PersistentCalibrationCache(
+        reborn = CalibrationCache(
             ArtifactStore("s3://fleet/warm-tier", client=client)
         )
         rec = reborn.lookup(key)

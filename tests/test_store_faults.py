@@ -15,13 +15,13 @@ The conformance suite certifies primitives; these tests pin the
 import pytest
 
 from repro.pipeline import BackendSpec, CircuitSpec, SweepSpec, run_sweep
+from repro.pipeline.cache import CalibrationCache, calibration_key
 from repro.store import (
     ArtifactStore,
     BackendCrash,
     Fault,
     FaultyBackend,
     MemoryBackend,
-    PersistentCalibrationCache,
     TransientStoreError,
     reset_memory_spaces,
 )
@@ -172,18 +172,18 @@ class TestKilledMidPut:
         faulty = FaultyBackend(
             inner, faults=(Fault(op="put_atomic", nth=1, kind="partial"),)
         )
-        cache = PersistentCalibrationCache(ArtifactStore(faulty))
-        key = ("cal", 1, 0, "CMC", 2000)
+        cache = CalibrationCache(ArtifactStore(faulty))
+        key = calibration_key(("cal", 1, 0, "CMC", 2000))
         with pytest.raises(BackendCrash):
             cache.store(key, {"m": (1, 2)}, 500, 2)
         # a fresh process over the *same* (crashed) store: clean miss
-        survivor = PersistentCalibrationCache(ArtifactStore(inner))
+        survivor = CalibrationCache(ArtifactStore(inner))
         assert survivor.lookup(key) is None
         assert survivor.stats().hits == 0
         # debris exists, is aged out by gc, and the re-measure lands
         assert inner.partial_keys("objects/") != []
         survivor.store(key, {"m": (1, 2)}, 500, 2)
-        rec = PersistentCalibrationCache(ArtifactStore(inner)).lookup(key)
+        rec = CalibrationCache(ArtifactStore(inner)).lookup(key)
         assert rec is not None and rec.state == {"m": (1, 2)}
 
     def test_sweep_killed_mid_artifact_put_resumes_bit_identical(self):

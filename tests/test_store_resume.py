@@ -24,7 +24,8 @@ from repro.pipeline import (
     SweepSpec,
     run_sweep,
 )
-from repro.store import ArtifactStore, PersistentCalibrationCache, SweepJournal
+from repro.pipeline.cache import CalibrationCache, calibration_key
+from repro.store import ArtifactStore, SweepJournal
 
 
 def small_spec(**overrides):
@@ -271,6 +272,16 @@ class TestWarmStore:
         # method errors exactly equal to the cold run
         assert record_keys(warm) == record_keys(cold)
 
+    def test_calibration_key_digest_is_stable(self):
+        # stores written by earlier releases of this key layout stay warm
+        from repro.pipeline.runner import task_calibration_scopes
+        from repro.store import canonical_key_digest
+
+        scope = task_calibration_scopes(small_spec(), 1, (0,))[0] + ("CMC", 2000)
+        assert canonical_key_digest(calibration_key(scope)) == canonical_key_digest(
+            {"kind": "calibration", "version": __version__, "key": tuple(scope)}
+        )
+
     def test_warm_matches_storeless_and_parallel(self, tmp_path):
         spec = small_spec(trials=1)
         plain = run_sweep(spec)
@@ -282,14 +293,14 @@ class TestWarmStore:
 
     def test_persistent_cache_tiers(self, tmp_path):
         store = ArtifactStore(tmp_path / "store")
-        cache = PersistentCalibrationCache(store)
-        key = ("cal", 1, 0, "CMC", 2000)
+        cache = CalibrationCache(store)
+        key = calibration_key(("cal", 1, 0, "CMC", 2000))
         assert cache.lookup(key) is None
         cache.store(key, {"x": (0, 1)}, 500, 2)
         assert cache.stats().misses == 1
 
         # a brand-new process (fresh cache object) sees the artifact
-        reborn = PersistentCalibrationCache(ArtifactStore(tmp_path / "store"))
+        reborn = CalibrationCache(ArtifactStore(tmp_path / "store"))
         rec = reborn.lookup(key)
         assert rec is not None and rec.shots_spent == 500
         assert rec.state == {"x": (0, 1)}
